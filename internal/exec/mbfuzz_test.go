@@ -62,19 +62,53 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 			sizes[nm] = n + vm.MaxLanes + 8
 		}
 	}
-	anyArr := func() string { return names[r.Intn(len(names))] }
-
 	threads := 1
 	nLoops := 1 + r.Intn(2)
 	for loop := 0; loop < nLoops; loop++ {
 		lo := int64(r.Intn(5))
 		trip := int64(1 + r.Intn(300))
+		// A parallel loop's two threads run concurrently, so no element
+		// one iteration stores may be loaded or stored by another, or the
+		// final arrays would depend on the interleaving. Such a loop reads
+		// only arrays it does not write, and writes each of its arrays
+		// through exactly one unit-stride store at i+off or one induction
+		// scatter. It needs two arrays to do both.
+		par := r.Intn(4) == 0 && len(names) > 1
 		var i int
-		if r.Intn(4) == 0 {
+		if par {
 			i = b.ParVecLoop(lo, trip)
 			threads = 2
 		} else {
 			i = b.VecLoop(lo, trip)
+		}
+		reads, writes := names, names
+		if par {
+			perm := r.Perm(len(names))
+			nw := 1 + r.Intn(len(names)-1)
+			writes, reads = nil, nil
+			for k, j := range perm {
+				if k < nw {
+					writes = append(writes, names[j])
+				} else {
+					reads = append(reads, names[j])
+				}
+			}
+		}
+		readArr := func() string { return reads[r.Intn(len(reads))] }
+		// writeArr picks a store target: any array in a sequential loop,
+		// a not yet written one in a parallel loop ("" once none is left).
+		written := map[string]bool{}
+		writeArr := func() string {
+			if !par {
+				return names[r.Intn(len(names))]
+			}
+			for _, nm := range writes {
+				if !written[nm] {
+					written[nm] = true
+					return nm
+				}
+			}
+			return ""
 		}
 		if u := r.Intn(3); u > 0 {
 			b.SetUnroll(1 << u)
@@ -83,9 +117,11 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 
 		// base = i*mult + off, affine by construction; returns the base
 		// register and the largest element index lane 0 can address.
-		mkBase := func() (int, int) {
+		// unit forces mult 1, so consecutive iterations' footprints abut
+		// instead of overlapping.
+		mkBase := func(unit bool) (int, int) {
 			mult := 1
-			if !tame {
+			if !tame && !unit {
 				mult += r.Intn(3)
 			}
 			off := r.Intn(8)
@@ -102,8 +138,8 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 		var vals []int
 		pick := func() int { return vals[r.Intn(len(vals))] }
 		load := func() {
-			nm := anyArr()
-			base, hi := mkBase()
+			nm := readArr()
+			base, hi := mkBase(false)
 			stride := 1
 			if !tame {
 				stride += r.Intn(3)
@@ -129,37 +165,46 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 			case 5:
 				load()
 			case 6: // induction gather: affine, replay-eligible
-				nm := anyArr()
+				nm := readArr()
 				need(nm, hiIter)
 				vals = append(vals, b.Gather(arrID[nm], i))
 			case 7: // floor(i/2) gather: structurally non-affine, must bail
-				nm := anyArr()
+				nm := readArr()
 				need(nm, hiIter/2+1)
 				idx := b.Op1(vm.OpFloor, b.Op2(vm.OpMul, i, b.Const(0.5)))
 				vals = append(vals, b.Gather(arrID[nm], idx))
 			case 8:
-				nm := anyArr()
-				base, hi := mkBase()
+				nm := writeArr()
+				if nm == "" {
+					break
+				}
+				base, hi := mkBase(par)
 				stride := 1
-				if !tame {
+				if !tame && !par {
 					stride += r.Intn(2)
 				}
 				need(nm, hi+stride*vm.MaxLanes)
 				b.Store(arrID[nm], pick(), base, stride)
 			case 9: // induction scatter
-				nm := anyArr()
+				nm := writeArr()
+				if nm == "" {
+					break
+				}
 				need(nm, hiIter)
 				b.Scatter(arrID[nm], pick(), i)
 			}
 		}
-		// Always store something so the loop's work is observable; the
-		// target is drawn from the same pool the loads use, so stores
-		// regularly land on an array the loop also reads and replay's
-		// conflict analysis (and its bail) actually triggers.
-		nm := anyArr()
-		base, hi := mkBase()
-		need(nm, hi+vm.MaxLanes)
-		b.Store(arrID[nm], pick(), base, 1)
+		// Always store something so the loop's work is observable. In a
+		// sequential loop the target is drawn from the same pool the
+		// loads use, so stores regularly land on an array the loop also
+		// reads and replay's conflict analysis (and its bail) actually
+		// triggers; a parallel loop that has written all its arrays
+		// already stores something.
+		if nm := writeArr(); nm != "" {
+			base, hi := mkBase(par)
+			need(nm, hi+vm.MaxLanes)
+			b.Store(arrID[nm], pick(), base, 1)
+		}
 		b.End()
 	}
 	return fuzzCase{prog: b.MustBuild(), sizes: sizes, elemB: elemB, threads: threads}

@@ -169,15 +169,19 @@ var sharedMemo = NewMemo()
 var workerMemo = NewMemo()
 
 // ResetMemo clears the process-wide measurement caches (both the local
-// experiment cache and the worker-side cell cache). The benchmark
-// harness calls it between iterations so memoization does not turn
-// repeated figure regenerations into cache lookups.
+// experiment cache and the worker-side cell cache) and VecReport's
+// diagnostics memo. The benchmark harness calls it between iterations so
+// memoization does not turn repeated figure regenerations into cache
+// lookups.
 func ResetMemo() {
 	for _, mo := range []*Memo{sharedMemo, workerMemo} {
 		mo.mu.Lock()
 		mo.entries = map[cellKey]*memoEntry{}
 		mo.mu.Unlock()
 	}
+	vecReports.Lock()
+	vecReports.m = nil
+	vecReports.Unlock()
 }
 
 // MemoStats exposes the process-wide cache statistics (hits, misses).

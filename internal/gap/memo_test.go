@@ -1,6 +1,7 @@
 package gap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -213,5 +214,143 @@ func TestMemoRetriesAfterCancelledWinner(t *testing.T) {
 	}
 	if ecalls != 1 {
 		t.Errorf("real error computed %d times, want 1 (cached)", ecalls)
+	}
+}
+
+// TestCellKeyMatchesCacheFormat pins the worked example of
+// docs/CACHE_FORMAT.md: persisted entries and coordinator shards are
+// addressed by this exact string, so key derivation must never drift.
+func TestCellKeyMatchesCacheFormat(t *testing.T) {
+	const want = "ninjagap-cell/v2|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|auto|false|false"
+	b, err := kernels.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cell{Bench: b, Version: kernels.Naive, Machine: machine.WestmereX980(), N: 4096}
+	if got := c.key(false).String(); got != want {
+		t.Errorf("cell key\n got %s\nwant %s", got, want)
+	}
+	if got := NewScheduler(1, NewMemo(), false).keys([]Cell{c})[0].String(); got != want {
+		t.Errorf("scheduler batch key\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSchedulerKeysMatchCellKeys checks the once-per-batch derivation:
+// a batch mixing a preset, the same pointer again, and same-named clones
+// that differ in one field gets, cell for cell, the key the cell derives
+// alone — the machine signature is shared by pointer, never by name.
+func TestSchedulerKeysMatchCellKeys(t *testing.T) {
+	m := machine.WestmereX980()
+	feat := m.Feat
+	feat.HWGather = true
+	slow := m.Clone()
+	c := slow.Cost(machine.OpFPDiv)
+	c.RecipTput *= 2
+	slow.SetCost(machine.OpFPDiv, c)
+	var cells []Cell
+	for _, mm := range []*machine.Machine{m, m.WithFeatures(feat), m, slow, m.WithCores(2), slow} {
+		for _, name := range []string{"blackscholes", "stencil"} {
+			b, err := kernels.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []kernels.Version{kernels.Naive, kernels.Algo} {
+				cells = append(cells, Cell{Bench: b, Version: v, Machine: mm, N: LegalN(b, b.TestN())})
+			}
+		}
+	}
+	cells[1].Macroblock = "off"
+	s := NewScheduler(1, NewMemo(), true)
+	s.macroblock = "on"
+	keys := s.keys(cells)
+	seen := map[cellKey]bool{}
+	for i, c := range cells {
+		want := s.stamp(c).key(true)
+		if keys[i] != want {
+			t.Errorf("cell %d: batch key %s, alone %s", i, keys[i], want)
+		}
+		seen[keys[i]] = true
+	}
+	if keys[1].Macroblock != "off" || keys[0].Macroblock != "on" {
+		t.Errorf("macro-block stamping: got %q and %q, want off and on", keys[1].Macroblock, keys[0].Macroblock)
+	}
+	// Four distinct machines x 4 cells, plus cell 1's own mode.
+	if len(seen) != 17 {
+		t.Errorf("%d distinct keys, want 17", len(seen))
+	}
+}
+
+// TestWarmFig4Bytes checks the fig4 diagnostics memo: dispatches served
+// from a warm memo render byte-identically to the cold one, the warm ones
+// compute nothing, and ResetMemo empties the diagnostics memo along with
+// the measurement caches.
+func TestWarmFig4Bytes(t *testing.T) {
+	cfg := tiny
+	cfg.Benches = []string{"treesearch", "libor", "blackscholes"}
+	render := func() (text, js string) {
+		t.Helper()
+		out, err := Dispatch("fig4", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb, jb bytes.Buffer
+		if err := out.Emit(&tb, "text"); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Emit(&jb, "json"); err != nil {
+			t.Fatal(err)
+		}
+		return tb.String(), jb.String()
+	}
+	diagLen := func() int {
+		vecReports.Lock()
+		defer vecReports.Unlock()
+		return len(vecReports.m)
+	}
+
+	ResetMemo()
+	if n := diagLen(); n != 0 {
+		t.Fatalf("diagnostics memo holds %d entries after ResetMemo", n)
+	}
+	coldText, coldJSON := render()
+	if n := diagLen(); n != 1 {
+		t.Errorf("diagnostics memo holds %d entries after one fig4, want 1", n)
+	}
+	_, missesBefore := MemoStats()
+	for i := 0; i < 2; i++ {
+		text, js := render()
+		if text != coldText || js != coldJSON {
+			t.Fatalf("warm fig4 dispatch %d differs from the cold one", i+1)
+		}
+	}
+	if _, misses := MemoStats(); misses != missesBefore {
+		t.Errorf("warm fig4 dispatches computed %d cells, want 0", misses-missesBefore)
+	}
+	if !strings.Contains(coldText, "auto-vectorization diagnostics:") {
+		t.Error("fig4 text lost its diagnostics section")
+	}
+	ResetMemo()
+	if n := diagLen(); n != 0 {
+		t.Errorf("ResetMemo left %d diagnostics entries", n)
+	}
+}
+
+// BenchmarkWarmDispatch times the daemon's warm read path below HTTP:
+// fig4 and bench-export dispatched from a filled memo, computing nothing.
+func BenchmarkWarmDispatch(b *testing.B) {
+	cfg := Config{Scale: 0.05, Jobs: 1}
+	for _, id := range []string{"fig4", "bench-export"} {
+		b.Run(id, func(b *testing.B) {
+			if _, err := Dispatch(id, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Dispatch(id, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

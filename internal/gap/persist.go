@@ -124,9 +124,10 @@ func decodeMeasurement(b []byte, wantKey string) (*Measurement, error) {
 		N:       e.N,
 		Threads: e.Threads,
 		Res:     e.Result,
-		// Reconstruct the post-execution view of the instance: the
-		// fields drivers read (SourceStmts, Report) are restored; the
-		// consumed ones (Prog, Arrays, Check) stay nil.
+		// Reconstruct the post-execution view of the instance, the
+		// shape retained gives a computed cell: the fields drivers read
+		// (SourceStmts, Report) are restored; the consumed ones (Prog,
+		// Arrays, Check) stay nil.
 		Inst: &kernels.Instance{
 			Bench: e.Bench, Version: v, N: e.N,
 			SourceStmts: e.SourceStmts, Report: e.Report,

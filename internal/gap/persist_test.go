@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"ninjagap/internal/kernels"
@@ -67,6 +68,40 @@ func TestCellEntryRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(enc, enc2) {
 		t.Error("re-encoded entry differs from original encoding")
+	}
+}
+
+// TestMemoEntryHasDiskShape checks that a computed measurement keeps only
+// what the disk keeps: no program, arrays or check closure stay reachable
+// from the memo, and its Inst equals the one decoded from its entry.
+func TestMemoEntryHasDiskShape(t *testing.T) {
+	b, err := kernels.ByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []kernels.Version{kernels.AutoVec, kernels.Ninja} {
+		c := Cell{Bench: b, Version: v, Machine: machine.WestmereX980(), N: LegalN(b, b.TestN())}
+		meas, err := NewScheduler(1, NewMemo(), false).Run(context.Background(), []Cell{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := meas[0].Inst
+		if inst.Arrays != nil || inst.Prog != nil || inst.Check != nil {
+			t.Errorf("%s: memoized Inst keeps Arrays=%v Prog=%v Check=%v", v,
+				inst.Arrays != nil, inst.Prog != nil, inst.Check != nil)
+		}
+		key := c.key(false).String()
+		enc, err := encodeMeasurement(key, meas[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeMeasurement(enc, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Inst, inst) {
+			t.Errorf("%s: Inst differs from its disk round trip\n got %+v\nwant %+v", v, got.Inst, inst)
+		}
 	}
 }
 

@@ -42,10 +42,16 @@ type Cell struct {
 // shares a cache entry with the default cell (e.g. the SMT ablation's
 // all-threads run is fig5's algo cell).
 func (c Cell) key(skipCheck bool) cellKey {
+	return c.keyWith(machineSig(c.Machine), skipCheck)
+}
+
+// keyWith is key with the machine signature already derived, so a batch
+// fingerprints each machine once (see Scheduler.keys).
+func (c Cell) keyWith(sig string, skipCheck bool) cellKey {
 	return cellKey{
 		Bench:      c.Bench.Name(),
 		Version:    c.Version.String(),
-		Machine:    machineSig(c.Machine),
+		Machine:    sig,
 		N:          c.N,
 		Threads:    c.threads(),
 		NoPrefetch: c.DisablePrefetch,
@@ -111,8 +117,20 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	}
 	return &Measurement{
 		Bench: c.Bench.Name(), Version: c.Version, Machine: c.Machine.Name, N: c.N,
-		Threads: threads, Res: res, Inst: inst,
+		Threads: threads, Res: res, Inst: retained(inst),
 	}, nil
+}
+
+// retained is the part of a run's instance that outlives the run: the
+// fields drivers read afterwards (Report, SourceStmts) and its identity.
+// It is exactly what decodeMeasurement rebuilds from disk, so a memoized
+// measurement has the same shape whichever tier served it, and the memo
+// does not keep every cell's program and input arrays alive.
+func retained(inst *kernels.Instance) *kernels.Instance {
+	return &kernels.Instance{
+		Bench: inst.Bench, Version: inst.Version, N: inst.N,
+		Report: inst.Report, SourceStmts: inst.SourceStmts,
+	}
 }
 
 // Scheduler fans measurement cells out across a bounded goroutine pool,
@@ -163,51 +181,85 @@ func (s *Scheduler) workers(n int) int {
 	return w
 }
 
-// measure runs one cell through the memo cache under ctx. With a remote
-// executor configured (coordinator mode), a cache-missing cell is first
-// offered to the worker pool; any remote failure other than the
-// caller's own context expiring degrades gracefully to local execution,
-// so a dead or drained fleet never fails a run it could have computed
-// itself.
-func (s *Scheduler) measure(ctx context.Context, c Cell) (*Measurement, error) {
-	if c.Macroblock == "" {
-		c.Macroblock = s.macroblock // "" stays "" -> normalized to "auto" in key
-	}
-	key := c.key(s.skipCheck)
-	return s.memo.do(ctx, key, func() (*Measurement, error) {
-		if s.remote != nil {
-			spec, err := c.spec(s.skipCheck)
-			if err == nil {
-				m, err := s.remote.MeasureCell(ctx, spec, key.String())
-				if err == nil {
-					return m, nil
-				}
-				if ctx.Err() != nil {
-					// Report the cancellation, not the remote failure it
-					// provoked, so the memo's never-cache-context-errors
-					// rule classifies (and evicts) this entry correctly.
-					return nil, fmt.Errorf("remote measure: %w", context.Cause(ctx))
-				}
-			}
-			// Remote path failed while we are still live: fall back.
+// keys derives the memo key of every cell in a batch before any cell
+// runs, stamping the scheduler's default macro-block mode and
+// fingerprinting each distinct machine once: a figure batch shares a few
+// *Machine values across dozens of cells, and on a warm memo the
+// fingerprint would otherwise cost more than the hit it looks up.
+func (s *Scheduler) keys(cells []Cell) []cellKey {
+	keys := make([]cellKey, len(cells))
+	var machines []*machine.Machine
+	var sigs []string
+	for i := range cells {
+		c := s.stamp(cells[i])
+		j := 0
+		for j < len(machines) && machines[j] != c.Machine {
+			j++
 		}
-		return measureCell(ctx, c, s.skipCheck)
+		if j == len(machines) {
+			machines = append(machines, c.Machine)
+			sigs = append(sigs, machineSig(c.Machine))
+		}
+		keys[i] = c.keyWith(sigs[j], s.skipCheck)
+	}
+	return keys
+}
+
+// stamp gives a cell that does not choose a macro-block mode the
+// scheduler's default ("" stays "" and normalizes to "auto" in the key).
+func (s *Scheduler) stamp(c Cell) Cell {
+	if c.Macroblock == "" {
+		c.Macroblock = s.macroblock
+	}
+	return c
+}
+
+// measure runs one cell through the memo cache under ctx; key is the
+// cell's memo key from keys. A cell the memo has to compute runs under
+// pprof labels naming it, so a CPU profile of an experiment run
+// attributes engine samples to the benchmark, version and machine being
+// simulated rather than to an anonymous worker goroutine (`go tool pprof
+// -tags`, or -focus on one label value); a memo hit sets no labels.
+//
+// With a remote executor configured (coordinator mode), a cache-missing
+// cell is first offered to the worker pool; any remote failure other
+// than the caller's own context expiring degrades gracefully to local
+// execution, so a dead or drained fleet never fails a run it could have
+// computed itself.
+func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurement, error) {
+	c = s.stamp(c)
+	return s.memo.do(ctx, key, func() (m *Measurement, err error) {
+		pprof.Do(ctx, pprof.Labels(
+			"bench", c.Bench.Name(),
+			"version", c.Version.String(),
+			"machine", c.Machine.Name,
+		), func(ctx context.Context) {
+			m, err = s.compute(ctx, c, key)
+		})
+		return m, err
 	})
 }
 
-// measureLabeled runs measure with pprof labels naming the cell, so a CPU
-// profile of an experiment run attributes engine samples to the benchmark,
-// version and machine being simulated rather than to an anonymous worker
-// goroutine (`go tool pprof -tags`, or -focus on one label value).
-func (s *Scheduler) measureLabeled(ctx context.Context, c Cell) (m *Measurement, err error) {
-	pprof.Do(ctx, pprof.Labels(
-		"bench", c.Bench.Name(),
-		"version", c.Version.String(),
-		"machine", c.Machine.Name,
-	), func(ctx context.Context) {
-		m, err = s.measure(ctx, c)
-	})
-	return m, err
+// compute measures a memo-missing cell, remotely when a worker pool is
+// configured and answers, locally otherwise.
+func (s *Scheduler) compute(ctx context.Context, c Cell, key cellKey) (*Measurement, error) {
+	if s.remote != nil {
+		spec, err := c.spec(s.skipCheck)
+		if err == nil {
+			m, err := s.remote.MeasureCell(ctx, spec, key.String())
+			if err == nil {
+				return m, nil
+			}
+			if ctx.Err() != nil {
+				// Report the cancellation, not the remote failure it
+				// provoked, so the memo's never-cache-context-errors
+				// rule classifies (and evicts) this entry correctly.
+				return nil, fmt.Errorf("remote measure: %w", context.Cause(ctx))
+			}
+		}
+		// Remote path failed while we are still live: fall back.
+	}
+	return measureCell(ctx, c, s.skipCheck)
 }
 
 // errsPool recycles Run's per-batch error slates. The experiment drivers
@@ -238,6 +290,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 	if len(cells) == 0 {
 		return results, nil
 	}
+	keys := s.keys(cells)
 	errsp := getErrs(len(cells))
 	defer errsPool.Put(errsp)
 	errs := *errsp
@@ -256,7 +309,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 				errs[i] = context.Cause(ctx)
 				continue
 			}
-			m, err := s.measureLabeled(ctx, cells[i])
+			m, err := s.measure(ctx, cells[i], keys[i])
 			if err != nil {
 				errs[i] = err
 				cancel()
@@ -278,7 +331,7 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 					errs[i] = context.Cause(ctx)
 					continue
 				}
-				m, err := s.measureLabeled(ctx, cells[i])
+				m, err := s.measure(ctx, cells[i], keys[i])
 				if err != nil {
 					errs[i] = err
 					cancel()

@@ -22,12 +22,16 @@ func (c *countingBench) Prepare(v kernels.Version, m *machine.Machine, n int) (*
 	return c.Benchmark.Prepare(v, m, n)
 }
 
-// failingBench errors on Prepare.
+// failingBench errors on Prepare. It has a name of its own: a cell that
+// shared its wrapped benchmark's name would share that benchmark's memo
+// key, and could be served a good cell's measurement instead of failing.
 type failingBench struct {
 	kernels.Benchmark
 }
 
 var errBoom = errors.New("boom")
+
+func (f *failingBench) Name() string { return "failing" }
 
 func (f *failingBench) Prepare(kernels.Version, *machine.Machine, int) (*kernels.Instance, error) {
 	return nil, errBoom

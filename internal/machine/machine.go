@@ -11,8 +11,8 @@ package machine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // OpClass identifies a hardware execution resource class. The cost model
@@ -254,20 +254,84 @@ func (m *Machine) Validate() error {
 // SetCost or direct field edits therefore fingerprint differently from
 // their preset even though they keep its name — the experiment memo cache
 // keys on this.
+//
+// The hash is 64-bit FNV-1a over the identity string appendIdentity
+// builds, rendered into a stack buffer: no fmt, no reflection and no
+// allocation, because every cache key derivation pays for it.
 func (m *Machine) Fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%g|%d|%d|%d|%g",
-		m.Name, m.Year, m.Cores, m.FreqGHz,
-		m.VecWidthF32, m.VecWidthF64, m.IssueWidth, m.BranchMissPenalty)
-	fmt.Fprintf(h, "|%+v|%+v", m.Mem, m.Feat)
-	for _, c := range m.Caches {
-		fmt.Fprintf(h, "|%+v", c)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var buf [2048]byte
+	h := uint64(offset64)
+	for _, c := range m.appendIdentity(buf[:0]) {
+		h ^= uint64(c)
+		h *= prime64
 	}
-	for c := OpClass(0); c < numOpClasses; c++ {
-		fmt.Fprintf(h, "|%+v", m.costs[c])
-	}
-	return h.Sum64()
+	return h
 }
+
+// appendIdentity appends the string Fingerprint hashes. It is exactly
+// the fmt rendering
+//
+//	"%s|%d|%d|%g|%d|%d|%d|%g" of Name, Year, Cores, FreqGHz,
+//	    VecWidthF32, VecWidthF64, IssueWidth, BranchMissPenalty
+//	"|%+v" of Mem, of Feat, of each cache level, of each op class's cost
+//
+// written out by hand (floats as strconv 'g' -1, ports by name), so
+// fingerprints — and every persisted cache key that embeds one — keep
+// their values. A field added to any of these structs must be appended
+// here too; TestFingerprintMatchesReference fails until it is.
+func (m *Machine) appendIdentity(b []byte) []byte {
+	b = append(b, m.Name...)
+	b = appendInt(append(b, '|'), m.Year)
+	b = appendInt(append(b, '|'), m.Cores)
+	b = appendFloat(append(b, '|'), m.FreqGHz)
+	b = appendInt(append(b, '|'), m.VecWidthF32)
+	b = appendInt(append(b, '|'), m.VecWidthF64)
+	b = appendInt(append(b, '|'), m.IssueWidth)
+	b = appendFloat(append(b, '|'), m.BranchMissPenalty)
+
+	b = appendFloat(append(b, "|{BandwidthGBps:"...), m.Mem.BandwidthGBps)
+	b = appendFloat(append(b, " Latency:"...), m.Mem.Latency)
+	b = appendInt(append(b, " MLP:"...), m.Mem.MLP)
+
+	b = strconv.AppendBool(append(b, "}|{HWGather:"...), m.Feat.HWGather)
+	b = strconv.AppendBool(append(b, " HWScatter:"...), m.Feat.HWScatter)
+	b = strconv.AppendBool(append(b, " FMA:"...), m.Feat.FMA)
+	b = strconv.AppendBool(append(b, " FastUnaligned:"...), m.Feat.FastUnaligned)
+	b = strconv.AppendBool(append(b, " HWPrefetch:"...), m.Feat.HWPrefetch)
+	b = appendInt(append(b, " SMT:"...), m.Feat.SMT)
+	b = append(b, '}')
+
+	for i := range m.Caches {
+		c := &m.Caches[i]
+		b = append(append(b, "|{Name:"...), c.Name...)
+		b = appendInt(append(b, " SizeBytes:"...), c.SizeBytes)
+		b = appendInt(append(b, " Assoc:"...), c.Assoc)
+		b = appendInt(append(b, " LineBytes:"...), c.LineBytes)
+		b = appendFloat(append(b, " Latency:"...), c.Latency)
+		b = strconv.AppendBool(append(b, " Shared:"...), c.Shared)
+		b = append(b, '}')
+	}
+	for i := range m.costs {
+		c := &m.costs[i]
+		b = append(append(b, "|{Port:"...), c.Port.String()...)
+		b = appendFloat(append(b, " RecipTput:"...), c.RecipTput)
+		b = appendFloat(append(b, " Latency:"...), c.Latency)
+		b = strconv.AppendBool(append(b, " Pipelined:"...), c.Pipelined)
+		b = strconv.AppendBool(append(b, " PerElement:"...), c.PerElement)
+		b = append(b, '}')
+	}
+	return b
+}
+
+// appendInt appends v as fmt's %d renders it.
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// appendFloat appends v as fmt's %g and %v render a float64.
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // Clone returns a deep copy, so ablations can mutate without affecting the
 // shared preset.

@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"hash/fnv"
+	"io"
 	"strings"
 	"testing"
 )
@@ -56,11 +59,11 @@ func TestPeakGFlops(t *testing.T) {
 // same two flops per lane as the add+mul pipe pair.
 func TestPeakGFlopsPinned(t *testing.T) {
 	want := map[string]float64{
-		"Core2Quad":     2 * 4 * 2.66 * 4,  // 85.12
-		"NehalemI7":     2 * 4 * 3.2 * 4,   // 102.4
-		"WestmereX980":  2 * 4 * 3.33 * 6,  // 159.84
-		"KnightsFerry":  2 * 16 * 1.2 * 32, // 1228.8
-		"FutureWide":    2 * 8 * 3.0 * 16,  // 768
+		"Core2Quad":    2 * 4 * 2.66 * 4,  // 85.12
+		"NehalemI7":    2 * 4 * 3.2 * 4,   // 102.4
+		"WestmereX980": 2 * 4 * 3.33 * 6,  // 159.84
+		"KnightsFerry": 2 * 16 * 1.2 * 32, // 1228.8
+		"FutureWide":   2 * 8 * 3.0 * 16,  // 768
 	}
 	for _, m := range All() {
 		w, ok := want[m.Name]
@@ -118,6 +121,88 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("presets %s and %s share a fingerprint", prev, m.Name)
 		}
 		seen[m.Fingerprint()] = m.Name
+	}
+}
+
+// referenceFingerprint is the fmt-and-reflection rendering Fingerprint
+// reproduces by hand. Every persisted cache key, submit memo key and
+// coordinator shard embeds a fingerprint, so the two must never differ.
+func referenceFingerprint(m *Machine) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, referenceIdentity(m))
+	return h.Sum64()
+}
+
+func referenceIdentity(m *Machine) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s|%d|%d|%g|%d|%d|%d|%g",
+		m.Name, m.Year, m.Cores, m.FreqGHz,
+		m.VecWidthF32, m.VecWidthF64, m.IssueWidth, m.BranchMissPenalty)
+	fmt.Fprintf(&sb, "|%+v|%+v", m.Mem, m.Feat)
+	for _, c := range m.Caches {
+		fmt.Fprintf(&sb, "|%+v", c)
+	}
+	for c := OpClass(0); c < numOpClasses; c++ {
+		fmt.Fprintf(&sb, "|%+v", m.costs[c])
+	}
+	return sb.String()
+}
+
+// TestFingerprintMatchesReference checks the hand-written identity string
+// and its hash against the fmt rendering, on every preset and on clones
+// mutated through every channel the experiments use, with floats whose
+// shortest form switches to exponent notation or runs to many digits.
+func TestFingerprintMatchesReference(t *testing.T) {
+	var ms []*Machine
+	for _, p := range All() {
+		ms = append(ms, p)
+		c := p.Clone()
+		cost := c.Cost(OpGatherElem)
+		cost.RecipTput, cost.Latency, cost.Pipelined, cost.PerElement = 1e-7, 3.3333333333, false, true
+		c.SetCost(OpGatherElem, cost)
+		cost = c.Cost(OpFPDiv)
+		cost.Port, cost.RecipTput = Port(17), 1e30
+		c.SetCost(OpFPDiv, cost)
+		ms = append(ms, c)
+
+		ms = append(ms, p.WithCores(1), p.WithCores(1024))
+		f := p.Feat
+		f.HWGather, f.HWScatter, f.FMA, f.FastUnaligned, f.HWPrefetch, f.SMT = true, true, !f.FMA, !f.FastUnaligned, !f.HWPrefetch, 0
+		ms = append(ms, p.WithFeatures(f))
+
+		e := p.Clone()
+		e.Name = "edited|{x y:z}"
+		e.Year, e.IssueWidth = -1, 0
+		e.FreqGHz, e.BranchMissPenalty = 3.3333333333, 1e-7
+		e.Mem.BandwidthGBps, e.Mem.Latency, e.Mem.MLP = 1e30, 0.1, -3
+		e.Caches[0].Name, e.Caches[0].Latency, e.Caches[0].Shared = "", 1e21, true
+		e.Caches = append(e.Caches, CacheLevel{Name: "L4", SizeBytes: 1 << 30, Assoc: 16, LineBytes: 128, Latency: 123.456})
+		ms = append(ms, e)
+	}
+	for _, m := range ms {
+		if got, want := string(m.appendIdentity(nil)), referenceIdentity(m); got != want {
+			t.Errorf("%s identity string:\n got %s\nwant %s", m.Name, got, want)
+		}
+		if got, want := m.Fingerprint(), referenceFingerprint(m); got != want {
+			t.Errorf("%s fingerprint = %016x, reference %016x", m.Name, got, want)
+		}
+	}
+}
+
+// TestFingerprintAllocs pins the key-derivation cost: a fingerprint
+// renders into a stack buffer and hashes it inline.
+func TestFingerprintAllocs(t *testing.T) {
+	m := WestmereX980()
+	if n := testing.AllocsPerRun(100, func() { m.Fingerprint() }); n != 0 {
+		t.Errorf("Fingerprint allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	m := WestmereX980()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Fingerprint()
 	}
 }
 
