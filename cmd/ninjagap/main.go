@@ -15,7 +15,6 @@
 //	ablate                     design ablations (prefetch, SMT, scaling)
 //	all                        every table and figure in order
 //	bench-export               write a BENCH_results.json perf snapshot
-//	engine-bench               bench-export plus simulator wall-clock timings
 //	run -bench B -version V    one measured run
 //	submit FILE                measure a user kernel source file across the
 //	                           machine presets (same pipeline, limits and
@@ -31,10 +30,6 @@
 //	             earlier run sharing D are served from disk (see
 //	             docs/OPERATIONS.md); prints a cache-traffic summary
 //	             to stderr after the run
-//	-macroblock M  macro-block engine mode: on, off, or auto (default
-//	             auto). Output is bit-identical across modes; the flag
-//	             exists for byte-diff validation and simulator-
-//	             performance work
 //	-cpuprofile FILE  write a CPU profile of the whole run
 //	-memprofile FILE  write a heap profile at exit
 //	-bench list  comma-separated benchmark subset
@@ -86,14 +81,7 @@ func main() {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to `file`")
 	cacheDir := fs.String("cache-dir", "", "persistent measurement cache directory (warm restarts)")
-	macroblock := fs.String("macroblock", "auto", "macro-block engine mode: on, off, or auto (bit-identical output; wall-clock only)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
-	}
-	switch *macroblock {
-	case "on", "off", "auto", "":
-	default:
-		fmt.Fprintf(os.Stderr, "ninjagap: invalid -macroblock mode %q (want on, off or auto)\n", *macroblock)
 		os.Exit(2)
 	}
 	scale, err := ninjagap.ParseScale(*scaleArg)
@@ -140,7 +128,7 @@ func main() {
 		}()
 	}
 
-	cfg := ninjagap.Config{Scale: scale, Jobs: *jobs, Macroblock: *macroblock}
+	cfg := ninjagap.Config{Scale: scale, Jobs: *jobs}
 	if *benches != "" {
 		cfg.Benches = strings.Split(*benches, ",")
 	}
@@ -222,7 +210,7 @@ func runSubmit(cfg ninjagap.Config, outFile, machines, versions string, args []s
 }
 
 func run(cmd string, cfg ninjagap.Config, outFile, machineName, version string, n int) error {
-	if (cmd == "bench-export" || cmd == "engine-bench") && outFile == "" {
+	if cmd == "bench-export" && outFile == "" {
 		outFile = "BENCH_results.json"
 	}
 	w := io.Writer(os.Stdout)
@@ -409,9 +397,9 @@ func listOutput() output {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: ninjagap <command> [flags]
 commands: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 ablate all
-          bench-export engine-bench run submit list
+          bench-export run submit list
 flags:    -scale F|smoke|small|medium|full  -bench a,b,c  -jobs N  -json
           -format text|json|csv  -out FILE  -machine M  -version V  -n N
           -machines A,B  -versions V,W  -cache-dir DIR
-          -macroblock on|off|auto  -cpuprofile FILE  -memprofile FILE`)
+          -cpuprofile FILE  -memprofile FILE`)
 }

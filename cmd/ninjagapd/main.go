@@ -92,14 +92,7 @@ func main() {
 	hedge := flag.Duration("hedge", 2*time.Second, "coordinator straggler re-dispatch delay")
 	cellInFlight := flag.Int("cell-inflight", 0, "concurrent /v1/cell executions as a worker (0 = GOMAXPROCS)")
 	submitMaxBytes := flag.Int("submit-max-bytes", 0, "/v1/submit source byte cap (0 = 65536)")
-	macroblock := flag.String("macroblock", "auto", "macro-block engine mode: on, off, or auto (bit-identical output; wall-clock only)")
 	flag.Parse()
-	switch *macroblock {
-	case "on", "off", "auto", "":
-	default:
-		fmt.Fprintf(os.Stderr, "ninjagapd: invalid -macroblock mode %q (want on, off or auto)\n", *macroblock)
-		os.Exit(2)
-	}
 	scale, err := gap.ParseScale(*scaleArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ninjagapd:", err)
@@ -138,7 +131,6 @@ func main() {
 		RequestTimeout: *timeout,
 		HedgeDelay:     *hedge,
 		CellInFlight:   *cellInFlight,
-		Macroblock:     *macroblock,
 	}
 	cfg.Submit.MaxSourceBytes = *submitMaxBytes
 	if *benches != "" {

@@ -1,16 +1,15 @@
 package cache
 
-// LineCursor is a one-line fast path over AccessCost for strided replay:
-// it caches the L1 way that served the last touch of one address stream so
-// repeated touches of the same line skip the set probe and the prefetcher
-// table entirely. The fast path fires only when its effects are provably
+// LineCursor is a one-line fast path over AccessCost for one address
+// stream (the engine keeps one per scalar load or store instruction): it
+// caches the L1 way that served the stream's last touch so repeated
+// touches of the same line skip the set probe and the prefetcher table
+// entirely. The fast path fires only when its effects are provably
 // identical to AccessCost's L1-hit-with-prefetcher-skip branch; every other
 // situation (line crossing, eviction, prefetched line, prefetcher state that
 // would advance) falls back to AccessCost itself, so simulated statistics,
 // replacement state and DRAM traffic stay bit-identical to per-access
-// simulation. The macro-block replay engine re-probes through the fallback
-// exactly at cache-geometry boundaries: line crossings invalidate the cached
-// way, page crossings and stream advances fail the prefetcher check.
+// simulation.
 type LineCursor struct {
 	lineAddr uint64
 	tag      uint64
@@ -27,9 +26,6 @@ type LineCursor struct {
 	// the rare-hit streams inside the reseat window indefinitely.
 	miss uint8
 }
-
-// Invalidate forgets the cached way; the next touch takes the general path.
-func (c *LineCursor) Invalidate() { c.valid = false }
 
 // pfWouldSkip reports whether AccessCost would skip the prefetcher update
 // for addr: no prefetcher at all, or the addr's page stream is in the
@@ -80,62 +76,6 @@ func (h *Hierarchy) TouchLine(cur *LineCursor, lineAddr uint64, write bool) (Lev
 		cur.valid = false
 	}
 	return lvl, lat
-}
-
-// RunTouch pairs a cursor with its access kind for TouchRun.
-type RunTouch struct {
-	Cur   *LineCursor
-	Write bool
-}
-
-// TouchRun advances the hierarchy by n identical iterations of the touch
-// sequence ts — the per-iteration demand touches of a replay stretch in
-// which every access stays on its cursor's current line. It applies only
-// when every touch of every iteration would take the TouchLine fast path,
-// which it can verify up front: the fast path mutates nothing the fast-path
-// preconditions read (generations, tags, prefetch bits, prefetcher streams),
-// so preconditions that hold before the first touch hold for all n
-// iterations. The aggregate effect is then computed in closed form, exactly
-// equal to the n*len(ts) sequential touches:
-//
-//   - per-level counters: n*len(ts) L1 accesses, all hits, n*len(ts) clock
-//     ticks — integer adds, order-free;
-//   - LRU timestamps: touch i of the final iteration is overall touch
-//     (n-1)*len(ts)+i+1, so each way's lastUse is set to its final
-//     sequential value (ways shared by several touches resolve last-wins in
-//     ascending touch order, as sequential execution would);
-//   - dirty bits: idempotent, set once per written way.
-//
-// Returns false (having mutated nothing) when any precondition fails; the
-// caller falls back to per-touch TouchLine.
-func (h *Hierarchy) TouchRun(ts []RunTouch, n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	l0 := h.levels[0]
-	for i := range ts {
-		c := ts[i].Cur
-		if !c.valid {
-			return false
-		}
-		w := c.way
-		if w.gen != l0.gen || w.tag != c.tag || w.prefetch || !h.pfWouldSkip(c.lineAddr) {
-			return false
-		}
-	}
-	e, cnt := uint64(len(ts)), uint64(n)
-	l0.stats.Accesses += e * cnt
-	l0.stats.Hits += e * cnt
-	last := l0.clock + (cnt-1)*e
-	for i := range ts {
-		w := ts[i].Cur.way
-		w.lastUse = last + uint64(i) + 1
-		if ts[i].Write {
-			w.dirty = true
-		}
-	}
-	l0.clock += e * cnt
-	return true
 }
 
 // reseat points the cursor at lineAddr's L1 way after a general access

@@ -36,7 +36,7 @@ func allocProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 // paths the threaded dispatcher owns: scalar loads and stores (the
 // LineCursor path), fusable load+arith / arith+store / compare+maskpush
 // pairs, a masked if, and a data-dependent while loop — n scalar
-// iterations with no vector loop for replay to claim.
+// iterations with no vector loop.
 func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 	b := vm.NewBuilder("interpprobe")
 	src := b.Array("src", 4)
@@ -66,10 +66,10 @@ func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 }
 
 // TestInterpreterPathAllocs is TestSlowMemoryPathAllocs for the threaded
-// dispatcher itself: a 32x larger pure-interpreter problem (macroblock
-// off, so every dynamic instruction goes through handler dispatch, the
-// fused superinstructions and the scalar cursor path) must not allocate
-// more than the small problem plus a small constant. Per-thread state —
+// dispatcher itself: a 32x larger pure-interpreter problem (every dynamic
+// instruction goes through handler dispatch, the fused superinstructions
+// and the scalar cursor path) must not allocate more than the small
+// problem plus a small constant. Per-thread state —
 // the register file, the cursor table, the mask stack — is pooled and
 // sized by the program, never by n.
 func TestInterpreterPathAllocs(t *testing.T) {
@@ -78,7 +78,7 @@ func TestInterpreterPathAllocs(t *testing.T) {
 		prog, mk := interpProbeProg(n)
 		arrays := mk()
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(prog, arrays, m, Options{Threads: 1, Macroblock: "off"}); err != nil {
+			if _, err := Run(prog, arrays, m, Options{Threads: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -101,7 +101,7 @@ func TestSlowMemoryPathAllocs(t *testing.T) {
 		prog, mk := allocProbeProg(n)
 		arrays := mk()
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(prog, arrays, m, Options{Threads: 1, Macroblock: "off"}); err != nil {
+			if _, err := Run(prog, arrays, m, Options{Threads: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

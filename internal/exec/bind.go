@@ -94,10 +94,6 @@ type bInstr struct {
 	reduceRegs []int // register-file offsets
 	reduceOp   vm.Op
 	body, els  vm.Span
-
-	// plan is the macro-block replay plan for an eligible vector loop
-	// (nil when the loop is ineligible or replay is disabled); see macro.go.
-	plan *macroPlan
 }
 
 // boundProg is the linked program: a contiguous arena of bound instructions
@@ -138,17 +134,6 @@ func (e *engine) bind(fp *vm.FlatProg) *boundProg {
 		e.bindInstr(bi, &fp.Instrs[i])
 		bi.idx = int32(i)
 		bi.fn = handlerFor(bi.op)
-	}
-	if e.mbMinTrip > 0 {
-		// Attach macro-block replay plans to eligible vector loops. Plans
-		// are pure per-program metadata: building one never changes what a
-		// loop computes or charges, only how fast it is simulated.
-		for i := range bp.instrs {
-			bi := &bp.instrs[i]
-			if (bi.op == vm.OpLoop || bi.op == vm.OpParLoop) && bi.vec {
-				bi.plan = e.planLoop(fp, bp, int32(i))
-			}
-		}
 	}
 	if !e.opt.NoFuse {
 		e.fuse(bp, fp)

@@ -52,42 +52,12 @@ func (t *threadCtx) loopRange(bi *bInstr, lo, hi int64) {
 }
 
 // vecLoopRange runs a vector loop: induction lane l = base + l, stepping by
-// W, with a masked tail. When the loop carries a macro-block plan and the
-// entry qualifies (full mask, enough full-vector trips), the replay engine
-// covers a prefix of the iterations analytically — bit-identical to
-// interpretation — and the loop below continues from wherever replay
-// stopped (the masked tail, a bounds fault, or an aliasing bailout).
+// W, with a masked tail.
 func (t *threadCtx) vecLoopRange(bi *bInstr, lo, hi int64, unroll int) {
 	W := int64(t.e.W)
 	d := t.reg(bi.dst)
 	trip := int64(0)
-	start := lo
-	if p := bi.plan; p != nil && t.err == nil && t.mask == t.e.wMask {
-		if F := (hi - lo) / W; F >= t.e.mbMinTrip {
-			// Auto mode skips entries that cannot pay for themselves: too
-			// little covered work, or a plan that has repeatedly proven
-			// unable to cover anything (see mbAutoMinWork/mbMaxZeroRuns).
-			ok := true
-			if t.e.mbAuto &&
-				(uint64(F)*p.perIterDyn < mbAutoMinWork ||
-					p.zeroRuns.Load() >= mbMaxZeroRuns) {
-				ok = false
-			}
-			if ok {
-				k := t.replay(p, lo, F)
-				if k == 0 {
-					p.zeroRuns.Add(1)
-				} else {
-					p.zeroRuns.Store(0)
-					mbCoverage.Add(uint64(k))
-					mbReplayedDyn.Add(uint64(k) * p.perIterDyn)
-				}
-				start = lo + k*W
-				trip = k
-			}
-		}
-	}
-	for base := start; base < hi; base += W {
+	for base := lo; base < hi; base += W {
 		if t.err != nil {
 			return
 		}

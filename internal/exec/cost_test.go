@@ -53,7 +53,9 @@ func buildSaxpyPar(n int64) *vm.Prog {
 }
 
 // buildComputeHeavy builds an in-register compute kernel (no memory
-// pressure): out[i] = polynomial of x[i], reused from one cached block.
+// pressure): y[i] = polynomial of x[i % block], reading one cached block.
+// Each iteration writes only its own y[i], so the threads of a parallel
+// version never write the same element.
 func buildComputeHeavy(n int64, vec, par bool) *vm.Prog {
 	b := vm.NewBuilder("compute")
 	xa := b.Array("x", 4)
@@ -99,9 +101,9 @@ func buildComputeHeavy(n int64, vec, par bool) *vm.Prog {
 		acc = nr
 	}
 	if vec {
-		b.Scatter(ya, acc, idx)
+		b.Scatter(ya, acc, i)
 	} else {
-		b.Emit(vm.Instr{Op: vm.OpStore, A: acc, B: idx, Arr: ya, Scalar: true})
+		b.Emit(vm.Instr{Op: vm.OpStore, A: acc, B: i, Arr: ya, Scalar: true})
 	}
 	b.End()
 	return b.MustBuild()
@@ -167,21 +169,23 @@ func TestBandwidthBoundDoesNotScale(t *testing.T) {
 
 func TestSMTHelpsLatencyBound(t *testing.T) {
 	// A gather-heavy dependent-access kernel stalls on memory; SMT
-	// should overlap some of the stall.
+	// should overlap some of the stall. The result goes to a write-only
+	// array, so no thread writes an element another thread reads.
 	const n = 1 << 16
 	b := vm.NewBuilder("chase")
 	xa := b.Array("x", 4)
+	ya := b.Array("y", 4)
 	i := b.ParLoop(0, n)
 	v := b.LoadScalar(xa, i)
 	// Dependent load: index depends on loaded value.
 	v2 := b.Reg()
 	b.Emit(vm.Instr{Op: vm.OpLoad, Dst: v2, A: v, Arr: xa, Scalar: true, Carried: true})
-	b.StoreScalar(xa, v2, i)
+	b.StoreScalar(ya, v2, i)
 	b.End()
 	p := b.MustBuild()
 
 	mk := func() map[string]*vm.Array {
-		arrays := newArrays(n, "x")
+		arrays := newArrays(n, "x", "y")
 		for j := 0; j < n; j++ {
 			arrays["x"].Data[j] = float64((j * 104729) % n) // scattered targets
 		}

@@ -39,14 +39,6 @@ type engine struct {
 	gatherC, scatterC   machine.Cost
 	hwGather, hwScatter bool
 
-	// mbMinTrip is the minimum full-vector trip count a loop entry needs
-	// before its macro-block plan is replayed (0 disables replay; see
-	// Options.Macroblock).
-	mbMinTrip int64
-	// mbAuto enables the auto-mode profitability guards (work gate and
-	// dead-plan strikes); "on" mode replays every eligible entry regardless.
-	mbAuto bool
-
 	reduceInit []float64 // scratch for parallel-reduction init snapshots
 }
 
@@ -55,40 +47,6 @@ type engine struct {
 // configuration, so a long-lived process stops paying allocation and GC for
 // every measured cell. Hierarchy geometry depends on exactly that key.
 var threadPools sync.Map // string -> *sync.Pool
-
-// mbAutoMinTrip is the auto-mode replay threshold: loop entries with fewer
-// full-vector iterations than this are interpreted outright, since the
-// replay entry overhead (uniform evaluation, scratch sizing) would not pay
-// for itself.
-const mbAutoMinTrip = 4
-
-// mbAutoMinWork is the auto-mode work gate: an entry must cover at least
-// this many dynamic instructions (full-vector trips x per-iteration dynamic
-// instruction count) for replay to amortize its fixed entry costs (uniform
-// evaluation, affine probe, scratch seating). Short-trip loops below the
-// gate — e.g. a stencil row at small problem sizes — simulate faster
-// interpreted.
-const mbAutoMinWork = 128
-
-// mbMaxZeroRuns disables a plan in auto mode after this many consecutive
-// entries that replayed zero iterations (persistent aliasing conflicts or
-// inexact address tapes): the plan keeps paying probe costs and never
-// covers anything. A later covering entry resets the counter.
-const mbMaxZeroRuns = 8
-
-// resolveMacroblock maps an Options.Macroblock mode to the engine's minimum
-// replayed trip count (0 = replay disabled).
-func resolveMacroblock(mode string) (int64, error) {
-	switch mode {
-	case "", "auto":
-		return mbAutoMinTrip, nil
-	case "on":
-		return 1, nil
-	case "off":
-		return 0, nil
-	}
-	return 0, fmt.Errorf("exec: invalid Macroblock mode %q (want on, off or auto)", mode)
-}
 
 // Run executes prog on machine m with the named arrays bound. It returns
 // the functional result in the arrays (mutated in place) and the simulated
@@ -110,8 +68,8 @@ func Run(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, opt Opt
 }
 
 // newEngine validates the inputs and builds a ready-to-run engine: arrays
-// laid out, program bound (including macro-block plans), thread contexts
-// drawn from the pool. The caller owns releaseThreads.
+// laid out, program bound, thread contexts drawn from the pool. The caller
+// owns releaseThreads.
 func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, opt Options) (*engine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -120,12 +78,6 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 		return nil, err
 	}
 	e := &engine{prog: prog, m: m, opt: opt, lineBytes: m.Caches[0].LineBytes}
-	mb, err := resolveMacroblock(opt.Macroblock)
-	if err != nil {
-		return nil, err
-	}
-	e.mbMinTrip = mb
-	e.mbAuto = opt.Macroblock == "" || opt.Macroblock == "auto"
 	if lb := uint64(e.lineBytes); lb&(lb-1) == 0 {
 		e.lineMask = ^(lb - 1)
 	}

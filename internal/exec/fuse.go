@@ -21,24 +21,20 @@ import (
 )
 
 // fusedInstrs counts dynamic instructions executed through fused handlers,
-// process-wide. Like mbCoverage it exists for the differential tests and
-// the engine-bench coverage fractions: a fusion bit-identity check whose
-// programs silently never fuse proves nothing.
+// process-wide. It exists for the differential tests and the benchmark's
+// fused fraction: a fusion bit-identity check whose programs silently never
+// fuse proves nothing.
 var fusedInstrs atomic.Uint64
-
-// mbReplayedDyn counts dynamic instructions covered by macro-block replay
-// (replayed full-vector iterations times the plan's per-iteration dynamic
-// instruction count), process-wide.
-var mbReplayedDyn atomic.Uint64
 
 // FusedInstrs returns the process-wide count of dynamic instructions
 // executed through fused superinstruction handlers. Monotone; callers
 // compute per-run coverage from deltas.
 func FusedInstrs() uint64 { return fusedInstrs.Load() }
 
-// ReplayedInstrs returns the process-wide count of dynamic instructions
-// covered by macro-block replay. Monotone, delta-style like FusedInstrs.
-func ReplayedInstrs() uint64 { return mbReplayedDyn.Load() }
+// ReplayedInstrs always returns 0. The engine interprets every
+// instruction; the function remains only because the benchmark module
+// still reports a replayed-instruction fraction from it.
+func ReplayedInstrs() uint64 { return 0 }
 
 // hFused executes a fused pair: the first instruction's own handler, the
 // inter-instruction error check the exec loop would have performed, then

@@ -11,17 +11,16 @@ import (
 	"ninjagap/internal/vm"
 )
 
-// Differential property test for the macro-block engine: randomly
-// generated vector-loop nests are executed twice — once fully interpreted
-// (-macroblock=off) and once with replay forced (-macroblock=on) — and the
-// two runs must agree exactly: the full exec.Result field for field and
-// every array element bit for bit (NaNs included, hence the Float64bits
-// comparison). The generator deliberately mixes replay-eligible shapes
-// (affine strided loads/stores, induction gathers/scatters) with shapes
-// that must bail to the interpreter (non-affine floor'd indices, aliasing
-// load/store conflicts on one array, short trips below the probe minimum,
-// multi-loop programs that force re-probing), because the bail paths are
-// where a characterize-and-replay scheme silently diverges if it is wrong.
+// Differential property test for superinstruction fusion: randomly
+// generated vector-loop nests are executed twice — once with the default
+// fused dispatch and once with NoFuse — and the two runs must agree
+// exactly: the full exec.Result field for field and every array element
+// bit for bit (NaNs included, hence the Float64bits comparison). The
+// generator mixes the shapes fusion pairs (loads feeding arithmetic,
+// arithmetic feeding stores and gathers) with strided, gathered, scattered,
+// non-affine and aliasing accesses, short and long trips, and parallel
+// loops, so fused handlers run against the unfused pairs they replace in
+// many charge and cache-state contexts.
 
 // fuzzCase is one generated program plus the array shapes it needs.
 type fuzzCase struct {
@@ -33,17 +32,15 @@ type fuzzCase struct {
 
 // genFuzzCase builds a random program from the given source. All accesses
 // are kept in bounds by construction (sizes grow with the worst-case index
-// of every emitted access), so neither mode can fail; divergence, not
+// of every emitted access), so neither run can fail; divergence, not
 // error handling, is what this test is about.
 //
-// tame restricts generation to the planner's eligible core — unit-stride
-// accesses at offset-only bases, no gathers or scatters — so replay
-// actually covers iterations (the test asserts it does, via mbCoverage).
-// Wild cases keep the full op mix and exist to hammer the rejection and
-// bail paths: multi-stride loads, induction gathers/scatters, non-affine
-// floor'd indices, aliasing stores.
+// tame restricts generation to unit-stride accesses at offset-only bases,
+// with no gathers or scatters. Wild cases keep the full op mix:
+// multi-stride loads, induction gathers/scatters, non-affine floor'd
+// indices, aliasing stores.
 func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
-	b := vm.NewBuilder("mbfuzz")
+	b := vm.NewBuilder("fusefuzz")
 	names := []string{"a0", "a1", "a2"}[:1+r.Intn(3)]
 	elemB := map[string]int{}
 	arrID := map[string]int{}
@@ -164,11 +161,11 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 				vals = append(vals, b.FMA(pick(), pick(), pick()))
 			case 5:
 				load()
-			case 6: // induction gather: affine, replay-eligible
+			case 6: // induction gather
 				nm := readArr()
 				need(nm, hiIter)
 				vals = append(vals, b.Gather(arrID[nm], i))
-			case 7: // floor(i/2) gather: structurally non-affine, must bail
+			case 7: // floor(i/2) gather: non-affine index
 				nm := readArr()
 				need(nm, hiIter/2+1)
 				idx := b.Op1(vm.OpFloor, b.Op2(vm.OpMul, i, b.Const(0.5)))
@@ -197,9 +194,8 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 		// Always store something so the loop's work is observable. In a
 		// sequential loop the target is drawn from the same pool the
 		// loads use, so stores regularly land on an array the loop also
-		// reads and replay's conflict analysis (and its bail) actually
-		// triggers; a parallel loop that has written all its arrays
-		// already stores something.
+		// reads; a parallel loop that has written all its arrays already
+		// stores something.
 		if nm := writeArr(); nm != "" {
 			base, hi := mkBase(par)
 			need(nm, hi+vm.MaxLanes)
@@ -210,13 +206,18 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 	return fuzzCase{prog: b.MustBuild(), sizes: sizes, elemB: elemB, threads: threads}
 }
 
+// TestMacroblockDifferentialFuzz runs the generator above over 120 seeds
+// (25 with -short). The name predates the removal of macro-block replay,
+// which this test once compared against interpretation; it is kept so the
+// test's history stays under one name. It now checks fused dispatch.
 func TestMacroblockDifferentialFuzz(t *testing.T) {
 	trials := 120
 	if testing.Short() {
 		trials = 25
 	}
 	m := machine.WestmereX980()
-	covBefore := mbCoverage.Load()
+	before := FusedInstrs()
+	engaged := 0
 	for seed := 0; seed < trials; seed++ {
 		seed := seed
 		tame := seed%2 == 0
@@ -224,7 +225,7 @@ func TestMacroblockDifferentialFuzz(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
 			fc := genFuzzCase(r, tame)
 
-			// One shared fill so both modes start from identical bits.
+			// One shared fill so both runs start from identical bits.
 			fill := map[string][]float64{}
 			fr := rand.New(rand.NewSource(int64(seed)*1001 + 7))
 			for nm, n := range fc.sizes {
@@ -234,16 +235,16 @@ func TestMacroblockDifferentialFuzz(t *testing.T) {
 				}
 				fill[nm] = d
 			}
-			runMode := func(mode string) (*Result, map[string][]float64) {
+			run := func(noFuse bool) (*Result, map[string][]float64) {
 				arrays := map[string]*vm.Array{}
 				for nm, n := range fc.sizes {
 					a := vm.NewArray(nm, fc.elemB[nm], n)
 					copy(a.Data, fill[nm])
 					arrays[nm] = a
 				}
-				res, err := Run(fc.prog, arrays, m, Options{Threads: fc.threads, Macroblock: mode})
+				res, err := Run(fc.prog, arrays, m, Options{Threads: fc.threads, NoFuse: noFuse})
 				if err != nil {
-					t.Fatalf("mode %s: %v", mode, err)
+					t.Fatalf("NoFuse=%t: %v", noFuse, err)
 				}
 				out := map[string][]float64{}
 				for nm, a := range arrays {
@@ -252,27 +253,30 @@ func TestMacroblockDifferentialFuzz(t *testing.T) {
 				return res, out
 			}
 
-			offRes, offArr := runMode("off")
-			onRes, onArr := runMode("on")
-			if !reflect.DeepEqual(offRes, onRes) {
-				t.Errorf("result diverged\noff: %+v\non:  %+v", offRes, onRes)
+			f0 := FusedInstrs()
+			fusedRes, fusedArr := run(false)
+			if FusedInstrs() != f0 {
+				engaged++
 			}
-			for nm := range offArr {
-				a, b := offArr[nm], onArr[nm]
+			plainRes, plainArr := run(true)
+			if !reflect.DeepEqual(fusedRes, plainRes) {
+				t.Errorf("result diverged\nfused:  %+v\nnofuse: %+v", fusedRes, plainRes)
+			}
+			for nm := range fusedArr {
+				a, b := fusedArr[nm], plainArr[nm]
 				for j := range a {
 					if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-						t.Fatalf("array %s[%d] diverged: off=%v (%#x) on=%v (%#x)",
+						t.Fatalf("array %s[%d] diverged: fused=%v (%#x) nofuse=%v (%#x)",
 							nm, j, a[j], math.Float64bits(a[j]), b[j], math.Float64bits(b[j]))
 					}
 				}
 			}
 		})
 	}
-	// The bit-identity above is vacuous if replay never covered anything:
-	// require that the tame cases actually drove the replay engine.
-	if cov := mbCoverage.Load() - covBefore; cov == 0 {
-		t.Errorf("no generated case was replayed — the generator no longer produces replay-eligible loops")
+	// The bit-identity above is vacuous if no generated program fused.
+	if FusedInstrs() == before {
+		t.Errorf("no generated case executed a fused superinstruction — the generator no longer produces fusable pairs")
 	} else {
-		t.Logf("replayed %d full-vector iterations across %d trials", cov, trials)
+		t.Logf("fusion engaged on %d of %d cases", engaged, trials)
 	}
 }

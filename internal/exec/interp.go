@@ -29,8 +29,7 @@ type threadCtx struct {
 	hier      *cache.Hierarchy
 	lastDRAM  uint64
 	err       error
-	whileIter uint64    // runaway-loop guard
-	mb        mbScratch // macro-block replay scratch (see replay.go)
+	whileIter uint64 // runaway-loop guard
 	// nFused counts dynamic instructions executed through fused
 	// superinstruction handlers; folded into the process-wide counter when
 	// the context is released (see fuse.go).

@@ -35,14 +35,6 @@ type Options struct {
 	// tests and the dispatch speed gate and is not part of any cache
 	// identity.
 	NoFuse bool
-
-	// Macroblock selects the macro-block (characterize-and-replay) execution
-	// mode for affine inner loops: "off" never replays, "on" replays every
-	// eligible loop, "auto" (also the "" zero value) replays eligible loops
-	// whose full-vector trip count is at least mbAutoMinTrip. Replay is
-	// bit-identical to full interpretation by construction; the mode only
-	// changes wall-clock time. Any other value is an error.
-	Macroblock string
 }
 
 // Result reports a simulated run.

@@ -43,7 +43,7 @@ func (o Output) Emit(w io.Writer, format string) error {
 		return err
 	case "csv":
 		if o.CSV == nil {
-			return fmt.Errorf("csv output is only supported for table1, table2, bench-export and engine-bench")
+			return fmt.Errorf("csv output is only supported for table1, table2 and bench-export")
 		}
 		_, err := io.WriteString(w, o.CSV())
 		return err
@@ -72,8 +72,8 @@ func tableOutput(t *report.Table) Output {
 }
 
 // Dispatch runs the experiment driver named by id ("table1", "table2",
-// "fig1".."fig8", "ablate", "bench-export", "engine-bench") under cfg
-// and returns its output.
+// "fig1".."fig8", "ablate", "bench-export") under cfg and returns its
+// output.
 func Dispatch(id string, cfg Config) (Output, error) {
 	switch id {
 	case "table1":
@@ -157,35 +157,9 @@ func Dispatch(id string, cfg Config) (Output, error) {
 			Data: snap,
 			CSV:  func() string { return snapshotCSV(snap) },
 		}, nil
-	case "engine-bench":
-		snap, err := EngineBench(cfg)
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{
-			Text: func() string { b, _ := snap.JSON(); return string(b) + "\n" },
-			Data: snap,
-			CSV:  func() string { return wallclockCSV(snap.Wallclock) },
-		}, nil
 	default:
 		return Output{}, fmt.Errorf("unknown experiment %q", id)
 	}
-}
-
-// wallclockCSV flattens a snapshot's wallclock records.
-func wallclockCSV(w *report.Wallclock) string {
-	t := report.NewTable("", "bench", "version", "machine", "n", "macroblock",
-		"runs", "wall_seconds", "sim_instrs", "cells_per_sec",
-		"sim_instrs_per_sec", "fused_frac", "replay_frac")
-	for _, r := range w.Records {
-		t.Add(r.Bench, r.Version, r.Machine, fmt.Sprintf("%d", r.N),
-			r.Macroblock,
-			fmt.Sprintf("%d", r.Runs), fmt.Sprintf("%g", r.WallSeconds),
-			fmt.Sprintf("%d", r.SimInstrs), fmt.Sprintf("%g", r.CellsPerSec),
-			fmt.Sprintf("%g", r.SimInstrsPerSec),
-			fmt.Sprintf("%g", r.FusedFrac), fmt.Sprintf("%g", r.ReplayFrac))
-	}
-	return t.CSV()
 }
 
 // snapshotCSV flattens a snapshot's records.

@@ -33,12 +33,6 @@ type Config struct {
 	// (default), "json", or "csv". The library renderers ignore it; the
 	// cmd/ninjagap output layer honors it.
 	Format string
-	// Macroblock selects the engine's macro-block execution mode for
-	// every cell of the run: "on", "off", or "auto" ("" = "auto").
-	// Replay is bit-identical to interpretation, so every reported
-	// number is the same in all three modes; the flag exists for
-	// byte-diff validation and simulator-performance work.
-	Macroblock string
 
 	// ctx bounds every scheduler run the experiment drivers perform; nil
 	// means context.Background(). Set it with WithContext — the

@@ -13,11 +13,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-
-	"ninjagap/internal/kernels"
-	"ninjagap/internal/machine"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files with current output")
@@ -58,35 +54,3 @@ func TestGoldenTable2(t *testing.T) { goldenCheck(t, "table2") }
 
 // TestGoldenFig2 pins the rendered gap-trend figure.
 func TestGoldenFig2(t *testing.T) { goldenCheck(t, "fig2") }
-
-// TestMacroblockModesBitIdentical is the engine-level form of the golden
-// contract for the macro-block engine: for every built-in kernel and every
-// ladder version, the full exec.Result of a -macroblock=off run must equal
-// the -macroblock=on run field for field (cycles, stall decomposition,
-// dynamic instructions, DRAM traffic, port occupancy, cache statistics —
-// every float64 of it). The cellKey includes the mode, so the two runs
-// cannot alias in the memo and trivially pass.
-func TestMacroblockModesBitIdentical(t *testing.T) {
-	m := machine.WestmereX980()
-	for _, b := range kernels.All() {
-		n := SizeFor(b, Config{Scale: 0.05})
-		var cells []Cell
-		for _, v := range kernels.Versions() {
-			cells = append(cells, Cell{Bench: b, Version: v, Machine: m, N: n})
-		}
-		off, err := RunCells(Config{Macroblock: "off", Jobs: 1}, cells)
-		if err != nil {
-			t.Fatalf("%s off: %v", b.Name(), err)
-		}
-		on, err := RunCells(Config{Macroblock: "on", Jobs: 1}, cells)
-		if err != nil {
-			t.Fatalf("%s on: %v", b.Name(), err)
-		}
-		for i := range cells {
-			if !reflect.DeepEqual(off[i].Res, on[i].Res) {
-				t.Errorf("%s/%s n=%d: result diverged between -macroblock=off and on\noff: %+v\non:  %+v",
-					b.Name(), cells[i].Version, n, off[i].Res, on[i].Res)
-			}
-		}
-	}
-}

@@ -23,8 +23,7 @@ type cellKey struct {
 	Version    string
 	Machine    string
 	N          int
-	Threads    int    // 0 = version default
-	Macroblock string // normalized engine mode ("auto", "on", "off")
+	Threads    int // 0 = version default
 	NoPrefetch bool
 	Skip       bool
 }

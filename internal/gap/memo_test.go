@@ -221,7 +221,7 @@ func TestMemoRetriesAfterCancelledWinner(t *testing.T) {
 // docs/CACHE_FORMAT.md: persisted entries and coordinator shards are
 // addressed by this exact string, so key derivation must never drift.
 func TestCellKeyMatchesCacheFormat(t *testing.T) {
-	const want = "ninjagap-cell/v2|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|auto|false|false"
+	const want = "ninjagap-cell/v3|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|false|false"
 	b, err := kernels.ByName("blackscholes")
 	if err != nil {
 		t.Fatal(err)
@@ -259,24 +259,19 @@ func TestSchedulerKeysMatchCellKeys(t *testing.T) {
 			}
 		}
 	}
-	cells[1].Macroblock = "off"
 	s := NewScheduler(1, NewMemo(), true)
-	s.macroblock = "on"
 	keys := s.keys(cells)
 	seen := map[cellKey]bool{}
 	for i, c := range cells {
-		want := s.stamp(c).key(true)
+		want := c.key(true)
 		if keys[i] != want {
 			t.Errorf("cell %d: batch key %s, alone %s", i, keys[i], want)
 		}
 		seen[keys[i]] = true
 	}
-	if keys[1].Macroblock != "off" || keys[0].Macroblock != "on" {
-		t.Errorf("macro-block stamping: got %q and %q, want off and on", keys[1].Macroblock, keys[0].Macroblock)
-	}
-	// Four distinct machines x 4 cells, plus cell 1's own mode.
-	if len(seen) != 17 {
-		t.Errorf("%d distinct keys, want 17", len(seen))
+	// Four distinct machines x 4 cells.
+	if len(seen) != 16 {
+		t.Errorf("%d distinct keys, want 16", len(seen))
 	}
 }
 

@@ -8,7 +8,7 @@ package gap
 // Key derivation: the canonical key string is
 //
 //	<schema> "|" bench "|" version "|" machineSig "|" n "|" threads
-//	         "|" macroblock "|" noprefetch "|" skipcheck
+//	         "|" noprefetch "|" skipcheck
 //
 // where machineSig embeds the full-model machine.Fingerprint, so any
 // model edit — cost table, cache geometry, features — changes the key
@@ -43,17 +43,17 @@ import (
 )
 
 // CellSchema tags the on-disk and wire measurement-entry format. Bump it
-// whenever the entry layout or the meaning of any field changes; every
-// existing entry becomes unreachable (not merely invalid), which is the
-// intended invalidation mechanism.
-const CellSchema = "ninjagap-cell/v2"
+// whenever the entry layout, the key grammar or the meaning of any field
+// changes; every existing entry becomes unreachable (not merely invalid),
+// which is the intended invalidation mechanism.
+const CellSchema = "ninjagap-cell/v3"
 
 // String renders the canonical, schema-qualified key of a cell. This
 // exact string is hashed for the on-disk address, recorded inside each
 // entry, and used by the coordinator for consistent-hash sharding.
 func (k cellKey) String() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%s|%t|%t",
-		CellSchema, k.Bench, k.Version, k.Machine, k.N, k.Threads, k.Macroblock, k.NoPrefetch, k.Skip)
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%t|%t",
+		CellSchema, k.Bench, k.Version, k.Machine, k.N, k.Threads, k.NoPrefetch, k.Skip)
 }
 
 // cellEntry is the serialized form of one successful measurement. It

@@ -30,7 +30,6 @@ type CellSpec struct {
 	Machine         json.RawMessage `json:"machine"`
 	N               int             `json:"n"`
 	Threads         int             `json:"threads,omitempty"`
-	Macroblock      string          `json:"macroblock,omitempty"`
 	DisablePrefetch bool            `json:"disable_prefetch,omitempty"`
 	SkipCheck       bool            `json:"skip_check,omitempty"`
 
@@ -76,7 +75,6 @@ func (c Cell) spec(skipCheck bool) (CellSpec, error) {
 		Machine:         mb,
 		N:               c.N,
 		Threads:         c.Threads,
-		Macroblock:      c.macroblock(),
 		DisablePrefetch: c.DisablePrefetch,
 		SkipCheck:       skipCheck,
 	}
@@ -120,8 +118,7 @@ func (s CellSpec) cell() (Cell, error) {
 	}
 	return Cell{
 		Bench: b, Version: v, Machine: m, N: s.N,
-		Threads: s.Threads, Macroblock: s.Macroblock,
-		DisablePrefetch: s.DisablePrefetch,
+		Threads: s.Threads, DisablePrefetch: s.DisablePrefetch,
 	}, nil
 }
 

@@ -29,12 +29,6 @@ type Cell struct {
 	Threads int
 	// DisablePrefetch turns the hardware prefetcher off (ablation E9).
 	DisablePrefetch bool
-	// Macroblock selects the engine's macro-block execution mode ("on",
-	// "off", "auto"; "" = "auto"). Replay is bit-identical to full
-	// interpretation, so the mode cannot change any measured number — it
-	// is still part of the cell identity (normalized, see key) so cached
-	// entries record exactly how they were produced.
-	Macroblock string
 }
 
 // key forms the memo-cache identity of the cell. The effective thread
@@ -55,19 +49,8 @@ func (c Cell) keyWith(sig string, skipCheck bool) cellKey {
 		N:          c.N,
 		Threads:    c.threads(),
 		NoPrefetch: c.DisablePrefetch,
-		Macroblock: c.macroblock(),
 		Skip:       skipCheck,
 	}
-}
-
-// macroblock resolves the effective macro-block mode, normalizing the ""
-// zero value to "auto" (exec treats them identically) so a default cell
-// and an explicit auto cell share one cache entry.
-func (c Cell) macroblock() string {
-	if c.Macroblock == "" {
-		return "auto"
-	}
-	return c.Macroblock
 }
 
 // threads resolves the effective thread count: serial versions run one
@@ -101,8 +84,7 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	}
 	threads := c.threads()
 	res, err := exec.Run(inst.Prog, inst.Arrays, c.Machine,
-		exec.Options{Threads: threads, DisablePrefetch: c.DisablePrefetch,
-			Macroblock: c.macroblock()})
+		exec.Options{Threads: threads, DisablePrefetch: c.DisablePrefetch})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s on %s: %w", c.Bench.Name(), c.Version, c.Machine.Name, err)
 	}
@@ -142,9 +124,6 @@ type Scheduler struct {
 	memo      *Memo
 	skipCheck bool
 	remote    Remote
-	// macroblock is the default engine execution mode stamped onto cells
-	// that do not set one themselves (see Config.Macroblock).
-	macroblock string
 }
 
 // NewScheduler builds a scheduler with its own memo cache. jobs bounds
@@ -162,7 +141,6 @@ func NewScheduler(jobs int, memo *Memo, skipCheck bool) *Scheduler {
 func (c Config) scheduler() *Scheduler {
 	s := NewScheduler(c.Jobs, sharedMemo, c.SkipCheck)
 	s.remote = c.remote
-	s.macroblock = c.Macroblock
 	return s
 }
 
@@ -182,16 +160,14 @@ func (s *Scheduler) workers(n int) int {
 }
 
 // keys derives the memo key of every cell in a batch before any cell
-// runs, stamping the scheduler's default macro-block mode and
-// fingerprinting each distinct machine once: a figure batch shares a few
-// *Machine values across dozens of cells, and on a warm memo the
+// runs, fingerprinting each distinct machine once: a figure batch shares
+// a few *Machine values across dozens of cells, and on a warm memo the
 // fingerprint would otherwise cost more than the hit it looks up.
 func (s *Scheduler) keys(cells []Cell) []cellKey {
 	keys := make([]cellKey, len(cells))
 	var machines []*machine.Machine
 	var sigs []string
-	for i := range cells {
-		c := s.stamp(cells[i])
+	for i, c := range cells {
 		j := 0
 		for j < len(machines) && machines[j] != c.Machine {
 			j++
@@ -203,15 +179,6 @@ func (s *Scheduler) keys(cells []Cell) []cellKey {
 		keys[i] = c.keyWith(sigs[j], s.skipCheck)
 	}
 	return keys
-}
-
-// stamp gives a cell that does not choose a macro-block mode the
-// scheduler's default ("" stays "" and normalizes to "auto" in the key).
-func (s *Scheduler) stamp(c Cell) Cell {
-	if c.Macroblock == "" {
-		c.Macroblock = s.macroblock
-	}
-	return c
 }
 
 // measure runs one cell through the memo cache under ctx; key is the
@@ -227,7 +194,6 @@ func (s *Scheduler) stamp(c Cell) Cell {
 // execution, so a dead or drained fleet never fails a run it could have
 // computed itself.
 func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurement, error) {
-	c = s.stamp(c)
 	return s.memo.do(ctx, key, func() (m *Measurement, err error) {
 		pprof.Do(ctx, pprof.Labels(
 			"bench", c.Bench.Name(),

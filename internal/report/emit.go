@@ -102,54 +102,6 @@ type BenchRecord struct {
 	BoundBy string `json:"bound_by"`
 }
 
-// WallclockRecord times the simulator itself on one cell: how long the
-// host takes to execute the cell's simulation, as distinct from the
-// simulated seconds every other record reports.
-type WallclockRecord struct {
-	Bench   string `json:"bench"`
-	Version string `json:"version"`
-	Machine string `json:"machine"`
-	N       int    `json:"n"`
-	// Macroblock records the engine execution mode the timing ran under
-	// ("auto", "on", "off") — simulated numbers are identical across
-	// modes, wall-clock rates are not.
-	Macroblock string `json:"macroblock,omitempty"`
-	// Runs is how many back-to-back executions the wall time covers.
-	Runs int `json:"runs"`
-	// WallSeconds is the total host wall-clock time of Runs executions
-	// (engine time only; preparation and validation are outside the
-	// timed region).
-	WallSeconds float64 `json:"wall_seconds"`
-	// SimInstrs is the dynamic VM instruction count of one execution.
-	SimInstrs uint64 `json:"sim_instrs"`
-	// CellsPerSec and SimInstrsPerSec are the throughput rates
-	// (Runs/WallSeconds and SimInstrs*Runs/WallSeconds).
-	CellsPerSec     float64 `json:"cells_per_sec"`
-	SimInstrsPerSec float64 `json:"sim_instrs_per_sec"`
-	// FusedFrac and ReplayFrac decompose how the engine executed the
-	// cell's dynamic instructions: the fraction dispatched through fused
-	// superinstruction handlers, and the fraction covered analytically by
-	// macro-block replay instead of interpretation. Both are exact counts
-	// over the timed rounds divided by SimInstrs*Runs; they explain the
-	// wall-clock rate (replayed instructions are far cheaper than
-	// interpreted ones) without affecting any simulated number.
-	FusedFrac  float64 `json:"fused_frac"`
-	ReplayFrac float64 `json:"replay_frac"`
-}
-
-// Wallclock is the simulator-performance section of a snapshot, written
-// by the engine-bench driver. Unlike every other section it measures the
-// host, not the simulated machine, so it is inherently nondeterministic
-// and omitted from the deterministic bench-export snapshot.
-type Wallclock struct {
-	// GOMAXPROCS records the host parallelism the timings ran under.
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Records    []WallclockRecord `json:"records"`
-	// Summary holds the headline rates ("cells_per_sec",
-	// "sim_instrs_per_sec") aggregated over all records.
-	Summary map[string]float64 `json:"summary"`
-}
-
 // Snapshot is the full bench-export document.
 type Snapshot struct {
 	Schema string `json:"schema"`
@@ -162,9 +114,6 @@ type Snapshot struct {
 	// Summary holds headline aggregates ("<machine>/<version> avg gap",
 	// geomean gap) for quick cross-commit diffing.
 	Summary map[string]float64 `json:"summary"`
-	// Wallclock is the simulator's own throughput (engine-bench only;
-	// absent from bench-export, whose output must stay deterministic).
-	Wallclock *Wallclock `json:"wallclock,omitempty"`
 }
 
 // JSON encodes the snapshot.

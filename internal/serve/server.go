@@ -57,10 +57,6 @@ type Config struct {
 	// Benches restricts the default suite (nil = all); requests may
 	// override it with ?bench=a,b,c.
 	Benches []string
-	// Macroblock selects the engine's macro-block mode for every run
-	// ("on", "off", or "auto"; "" = "auto"). Bit-identical across modes,
-	// so served bytes never depend on it.
-	Macroblock string
 	// MaxInFlight bounds concurrently executing experiment runs
 	// (default 2).
 	MaxInFlight int
@@ -221,7 +217,7 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // defaults, query overrides (scale, bench), and the request context with
 // its deadline.
 func (s *Server) requestConfig(r *http.Request) (gap.Config, error) {
-	cfg := gap.Config{Scale: s.cfg.Scale, Jobs: s.cfg.Jobs, Benches: s.cfg.Benches, Macroblock: s.cfg.Macroblock}
+	cfg := gap.Config{Scale: s.cfg.Scale, Jobs: s.cfg.Jobs, Benches: s.cfg.Benches}
 	if s.pool != nil {
 		// Coordinator mode: route this run's cell execution through the
 		// worker fleet (with local fallback per cell).

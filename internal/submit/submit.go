@@ -203,8 +203,8 @@ func NewService(lim Limits) *Service {
 func (s *Service) Limits() Limits { return s.lim }
 
 // Process measures one submission under ctx. cfg supplies the scheduler
-// parameters that carry over from the host (Jobs, Macroblock, and the
-// coordinator remote when the daemon runs one); Scale, Benches and
+// parameters that carry over from the host (Jobs and the coordinator
+// remote when the daemon runs one); Scale, Benches and
 // SkipCheck are ignored — submitted kernels run at their declared size,
 // always with SkipCheck (they have no golden reference).
 //
@@ -247,11 +247,7 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 		}
 	}
 
-	mb := cfg.Macroblock
-	if mb == "" {
-		mb = "auto"
-	}
-	key := memoKey(b, machines, versions, mb)
+	key := memoKey(b, machines, versions)
 	if body, ok := s.lookup(key); ok {
 		return &Outcome{Body: body, Key: key, MemoHit: true}, nil
 	}
@@ -259,9 +255,7 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 	cells := make([]gap.Cell, 0, len(machines)*len(versions))
 	for _, m := range machines {
 		for _, v := range versions {
-			cells = append(cells, gap.Cell{
-				Bench: b, Version: v, Machine: m, N: b.DefaultN(), Macroblock: mb,
-			})
+			cells = append(cells, gap.Cell{Bench: b, Version: v, Machine: m, N: b.DefaultN()})
 		}
 	}
 	// Bind-time total-work ceiling: charge only the cells that would
@@ -343,14 +337,14 @@ func resolveVersions(names []string) ([]kernels.Version, error) {
 
 // memoKey forms the response-memo identity:
 //
-//	ninjagap-submit/v1|<sha256(canonical)>|m=<name:fp,...>|v=<versions>|mb=<mode>|<cell schema>
+//	ninjagap-submit/v1|<sha256(canonical)>|m=<name:fp,...>|v=<versions>|<cell schema>
 //
 // The machine list embeds each full-model fingerprint (a preset edit
 // changes the key), the version and machine lists are order-sensitive
 // (cell order is response order), and the trailing gap.CellSchema ties
 // the response to the engine/entry format it embeds — an engine format
 // bump invalidates memoized submit responses along with their cells.
-func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kernels.Version, mb string) string {
+func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kernels.Version) string {
 	var sb strings.Builder
 	sb.WriteString(Schema)
 	sb.WriteByte('|')
@@ -369,8 +363,6 @@ func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kerne
 		}
 		sb.WriteString(v.String())
 	}
-	sb.WriteString("|mb=")
-	sb.WriteString(mb)
 	sb.WriteByte('|')
 	sb.WriteString(gap.CellSchema)
 	return sb.String()

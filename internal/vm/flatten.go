@@ -39,45 +39,6 @@ func (p *Prog) Flatten() *FlatProg {
 	return f
 }
 
-// LoopShape summarizes the immediate body block of a flattened control
-// instruction. Because emit lays every block out contiguously with child
-// bodies outside the parent's span, a single pass over the span sees exactly
-// the instructions executed straight-line per iteration; any control
-// instruction inside the span means the body is not straight-line. The
-// execution engine uses this as the cheap prefilter for macro-block
-// eligibility before running its detailed operand classification.
-type LoopShape struct {
-	// StraightLine is true when the block contains no control flow
-	// (no nested loops, whiles or branches).
-	StraightLine bool
-	// MemOps counts loads and stores (including gathers/scatters).
-	MemOps int
-	// Irregular is true when the block contains an op whose per-iteration
-	// behavior is not a fixed-shape affine access or lanewise arithmetic:
-	// gathers, scatters, shuffles, or horizontal reductions.
-	Irregular bool
-}
-
-// LoopShape analyzes the body span of the instruction at arena index i.
-func (f *FlatProg) LoopShape(i int32) LoopShape {
-	s := f.Instrs[i].BodySpan
-	sh := LoopShape{StraightLine: true}
-	for j := s.Start; j < s.End; j++ {
-		switch f.Instrs[j].Op {
-		case OpLoop, OpParLoop, OpWhile, OpIf, OpIfMask:
-			sh.StraightLine = false
-		case OpLoad, OpStore:
-			sh.MemOps++
-		case OpGather, OpScatter:
-			sh.MemOps++
-			sh.Irregular = true
-		case OpShuffle, OpHAdd, OpHMin, OpHMax:
-			sh.Irregular = true
-		}
-	}
-	return sh
-}
-
 // emit appends one block contiguously, then recurses into child bodies
 // (which land after the block, keeping every block contiguous).
 func (f *FlatProg) emit(body []Instr) Span {

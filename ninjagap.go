@@ -255,7 +255,4 @@ var (
 	// BenchExport measures the full grid and packages it as the
 	// machine-readable BENCH_results.json snapshot.
 	BenchExport = gap.BenchExport
-	// EngineBench extends the snapshot with a wallclock section timing
-	// the simulator itself (host cells/sec, simulated-instructions/sec).
-	EngineBench = gap.EngineBench
 )
