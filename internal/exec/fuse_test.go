@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"ninjagap/internal/kernels"
 	"ninjagap/internal/machine"
@@ -74,12 +73,14 @@ func TestFusionBitIdentical(t *testing.T) {
 	}
 }
 
-// dispatchMedians returns the median wall-clock seconds of reps
+// dispatchMedians returns the median seconds of CPU time of reps
 // single-threaded interpreter runs with fusion and of reps without, on
 // freshly prepared instances so mutated inputs cannot skew later reps.
-// The two variants alternate run by run, so a change in host load (a
-// concurrent test binary starting or finishing) weighs on both alike
-// instead of on whichever variant happened to run during it.
+// One simulated thread runs inline and the package's tests run one at a
+// time, so this process's CPU time is the run's own; unlike wall time,
+// it does not grow while concurrent test binaries hold the CPUs. The two
+// variants also alternate run by run, so what load still leaks in
+// (cache and frequency effects) weighs on both alike.
 func dispatchMedians(t *testing.T, b kernels.Benchmark, m *machine.Machine, n, reps int) (fused, nofuse float64) {
 	t.Helper()
 	run := func(noFuse bool) float64 {
@@ -87,11 +88,11 @@ func dispatchMedians(t *testing.T, b kernels.Benchmark, m *machine.Machine, n, r
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
+		start := cpuTime(t)
 		if _, err := Run(inst.Prog, inst.Arrays, m, Options{Threads: 1, NoFuse: noFuse}); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start).Seconds()
+		return (cpuTime(t) - start).Seconds()
 	}
 	fs := make([]float64, 0, reps)
 	ns := make([]float64, 0, reps)

@@ -64,6 +64,9 @@ type metrics struct {
 	// mode; its shard/hedge/fallback counters are reported under
 	// "coordinator".
 	pool *Pool
+
+	// replies is the server's reply memo, reported under "replies".
+	replies *replyMemo
 }
 
 func newMetrics(routes []string) *metrics {
@@ -106,6 +109,13 @@ func (m *metrics) snapshot() ([]byte, error) {
 			DiskHits     int64 `json:"disk_hits"`
 			DiskStores   int64 `json:"disk_stores"`
 		} `json:"memo"`
+		// Replies is the reply memo of figure, table and snapshot
+		// replies, consulted ahead of admission.
+		Replies struct {
+			Hits    int64 `json:"hits"`
+			Misses  int64 `json:"misses"`
+			Entries int   `json:"entries"`
+		} `json:"replies"`
 		Requests struct {
 			InFlight  int64 `json:"in_flight"`
 			Completed int64 `json:"completed"`
@@ -126,6 +136,7 @@ func (m *metrics) snapshot() ([]byte, error) {
 	}
 	doc.Memo.Hits, doc.Memo.Misses, doc.Memo.Size = hits, misses, gap.MemoLen()
 	doc.Memo.DiskHits, doc.Memo.DiskStores, doc.Memo.DiskAttached = gap.CacheDirStats()
+	doc.Replies.Hits, doc.Replies.Misses, doc.Replies.Entries = m.replies.stats()
 	doc.Requests.InFlight = m.inFlight.Load()
 	doc.Requests.Completed = m.completed.Load()
 	doc.Requests.Rejected = m.rejected.Load()

@@ -8,12 +8,14 @@
 //	GET /v1/snapshot       the ninjagap-bench/v1 grid snapshot
 //	POST /v1/submit        measure user-submitted kernel source (submit.go)
 //	GET /healthz           liveness
-//	GET /metrics           memo + request counters, latency histograms
+//	GET /metrics           memo, reply-memo and request counters, latency histograms
 //
 // Responses render through the same gap.Dispatch/Output.Emit layer as
 // cmd/ninjagap, so a JSON figure body is byte-identical to the CLI's
 // `-json` output for the same configuration (CI diffs /v1/snapshot
-// against `ninjagap bench-export`).
+// against `ninjagap bench-export`). Figure, table and snapshot replies
+// are then kept in a bounded per-Server reply memo (replies.go) and
+// answered from it, ahead of admission, on every later identical request.
 //
 // Robustness: every measuring endpoint passes through a bounded admission
 // semaphore — at most MaxInFlight experiment runs execute concurrently,
@@ -27,7 +29,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -137,6 +138,9 @@ type Server struct {
 	// sub processes kernel submissions (POST /v1/submit).
 	sub *submit.Service
 
+	// replies holds rendered figure, table and snapshot replies.
+	replies *replyMemo
+
 	// dispatch runs an experiment driver under ctx; a test seam,
 	// gap.Dispatch in production.
 	dispatch func(ctx context.Context, id string, cfg gap.Config) (gap.Output, error)
@@ -151,6 +155,7 @@ func New(cfg Config) *Server {
 		cellSem: make(chan struct{}, cfg.CellInFlight),
 		pool:    NewPool(cfg.Workers, cfg.HedgeDelay),
 		sub:     submit.NewService(cfg.Submit),
+		replies: newReplyMemo(),
 		dispatch: func(ctx context.Context, id string, cfg gap.Config) (gap.Output, error) {
 			return gap.Dispatch(id, cfg.WithContext(ctx))
 		},
@@ -159,6 +164,7 @@ func New(cfg Config) *Server {
 		"/healthz", "/metrics", "/v1/measure", "/v1/figure", "/v1/table", "/v1/snapshot", "/v1/cell", "/v1/submit",
 	})
 	s.met.pool = s.pool
+	s.met.replies = s.replies
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
@@ -251,12 +257,19 @@ func format(r *http.Request) string {
 	return "json"
 }
 
-// runDriver admits, runs and emits one experiment under the request's
-// deadline, mapping failures to HTTP statuses.
+// runDriver answers one experiment from the reply memo, or admits, runs
+// and emits it under the request's deadline, mapping failures to HTTP
+// statuses. A memoized reply takes no execution slot.
 func (s *Server) runDriver(w http.ResponseWriter, r *http.Request, id string) {
 	cfg, err := s.requestConfig(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	f := format(r)
+	key := replyKey(id, cfg, f)
+	if rep, ok := s.replies.get(key); ok {
+		rep.write(w)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -274,25 +287,24 @@ func (s *Server) runDriver(w http.ResponseWriter, r *http.Request, id string) {
 		s.writeRunError(w, err)
 		return
 	}
-	s.writeOutput(w, r, out)
-}
-
-// writeOutput buffers the selected encoding (so errors can still change
-// the status line) and sends it.
-func (s *Server) writeOutput(w http.ResponseWriter, r *http.Request, out gap.Output) {
-	var buf bytes.Buffer
-	f := format(r)
-	if err := out.Emit(&buf, f); err != nil {
+	rep, err := render(out, f)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	switch f {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	s.replies.put(key, rep)
+	rep.write(w)
+}
+
+// writeOutput renders the selected encoding in full (so errors can still
+// change the status line) and sends it.
+func (s *Server) writeOutput(w http.ResponseWriter, r *http.Request, out gap.Output) {
+	rep, err := render(out, format(r))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	_, _ = w.Write(buf.Bytes())
+	rep.write(w)
 }
 
 func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {

@@ -319,9 +319,10 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestMetricsMemoTraffic checks the acceptance contract: repeated
-// identical figure requests change the memo hit count (second request is
-// served from cache) and the endpoint histogram fills.
+// TestMetricsMemoTraffic checks that /metrics shows which cache answered:
+// a repeated identical figure request is a reply-memo hit that computes
+// no cell, a repeated /v1/measure request is a cell-memo hit, and the
+// endpoint histogram fills.
 func TestMetricsMemoTraffic(t *testing.T) {
 	ts := httptest.NewServer(New(smallCfg()).Handler())
 	defer ts.Close()
@@ -332,6 +333,11 @@ func TestMetricsMemoTraffic(t *testing.T) {
 			Misses int64 `json:"misses"`
 			Size   int   `json:"size"`
 		} `json:"memo"`
+		Replies struct {
+			Hits    int64 `json:"hits"`
+			Misses  int64 `json:"misses"`
+			Entries int   `json:"entries"`
+		} `json:"replies"`
 		Requests struct {
 			Completed int64 `json:"completed"`
 		} `json:"requests"`
@@ -359,13 +365,17 @@ func TestMetricsMemoTraffic(t *testing.T) {
 	if before.Memo.Size == 0 || before.Memo.Misses == 0 {
 		t.Errorf("after first figure: memo size=%d misses=%d, want > 0", before.Memo.Size, before.Memo.Misses)
 	}
+	if before.Replies.Misses != 1 || before.Replies.Entries != 1 {
+		t.Errorf("after first figure: replies misses=%d entries=%d, want 1 and 1",
+			before.Replies.Misses, before.Replies.Entries)
+	}
 	if code, _, _ := get(t, ts.URL+"/v1/figure/fig1"); code != http.StatusOK {
 		t.Fatal("second fig1 failed")
 	}
 	after := metrics()
-	if after.Memo.Hits <= before.Memo.Hits {
-		t.Errorf("memo hits did not grow across identical requests: %d -> %d",
-			before.Memo.Hits, after.Memo.Hits)
+	if after.Replies.Hits <= before.Replies.Hits {
+		t.Errorf("reply hits did not grow across identical requests: %d -> %d",
+			before.Replies.Hits, after.Replies.Hits)
 	}
 	if after.Memo.Misses != before.Memo.Misses {
 		t.Errorf("identical request recomputed cells: misses %d -> %d",
@@ -377,6 +387,20 @@ func TestMetricsMemoTraffic(t *testing.T) {
 	fig := after.Endpoints["/v1/figure"]
 	if fig.Count < 2 {
 		t.Errorf("figure endpoint count = %d, want >= 2", fig.Count)
+	}
+
+	const measure = "/v1/measure?bench=blackscholes&version=naive"
+	if code, body, _ := get(t, ts.URL+measure); code != http.StatusOK {
+		t.Fatalf("measure = %d: %s", code, body)
+	}
+	before = metrics()
+	if code, _, _ := get(t, ts.URL+measure); code != http.StatusOK {
+		t.Fatal("second measure failed")
+	}
+	after = metrics()
+	if after.Memo.Hits <= before.Memo.Hits {
+		t.Errorf("memo hits did not grow across identical measure requests: %d -> %d",
+			before.Memo.Hits, after.Memo.Hits)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -233,10 +234,16 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 	if err != nil {
 		return nil, err
 	}
-	// Compile every requested level up front: a kernel the compiler
-	// rejects is a structured 422 before any cell binds. (A loop the
-	// vectorizer merely *refuses* is not an error — the refusal reason is
-	// part of the measured answer.)
+	// Rejections are never memoized, so a hit is a kernel that compiled
+	// at every requested level: it needs no compile.
+	key := memoKey(b, machines, versions)
+	if body, ok := s.lookup(key); ok {
+		return &Outcome{Body: body, Key: key, MemoHit: true}, nil
+	}
+	// Compile every requested level before any cell binds: a kernel the
+	// compiler rejects is a structured 422. (A loop the vectorizer merely
+	// *refuses* is not an error — the refusal reason is part of the
+	// measured answer.)
 	for _, v := range versions {
 		opt, err := compiler.ByLevel(v.String())
 		if err != nil {
@@ -245,11 +252,6 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 		if _, err := compiler.Compile(k, opt); err != nil {
 			return nil, reject(CodeCompile, "%s: %v", v, err)
 		}
-	}
-
-	key := memoKey(b, machines, versions)
-	if body, ok := s.lookup(key); ok {
-		return &Outcome{Body: body, Key: key, MemoHit: true}, nil
 	}
 
 	cells := make([]gap.Cell, 0, len(machines)*len(versions))
@@ -339,11 +341,12 @@ func resolveVersions(names []string) ([]kernels.Version, error) {
 //
 //	ninjagap-submit/v1|<sha256(canonical)>|m=<name:fp,...>|v=<versions>|<cell schema>
 //
-// The machine list embeds each full-model fingerprint (a preset edit
-// changes the key), the version and machine lists are order-sensitive
-// (cell order is response order), and the trailing gap.CellSchema ties
-// the response to the engine/entry format it embeds — an engine format
-// bump invalidates memoized submit responses along with their cells.
+// The machine list embeds each full-model fingerprint as 16 zero-padded
+// hex digits (a preset edit changes the key), the version and machine
+// lists are order-sensitive (cell order is response order), and the
+// trailing gap.CellSchema ties the response to the engine/entry format
+// it embeds — an engine format bump invalidates memoized submit
+// responses along with their cells.
 func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kernels.Version) string {
 	var sb strings.Builder
 	sb.WriteString(Schema)
@@ -354,7 +357,12 @@ func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kerne
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s:%016x", m.Name, m.Fingerprint())
+		var hex [16]byte
+		fp := strconv.AppendUint(hex[:0], m.Fingerprint(), 16)
+		sb.WriteString(m.Name)
+		sb.WriteByte(':')
+		sb.WriteString("0000000000000000"[len(fp):])
+		sb.Write(fp)
 	}
 	sb.WriteString("|v=")
 	for i, v := range versions {

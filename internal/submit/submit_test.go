@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"os"
 	"strings"
 	"testing"
 
 	"ninjagap/internal/gap"
+	"ninjagap/internal/kernels"
+	"ninjagap/internal/lang"
+	"ninjagap/internal/machine"
 )
 
 const testSrc = `// doubled saxpy, small enough to measure instantly
@@ -151,5 +157,69 @@ func TestProcessCancelledContextNotMemoized(t *testing.T) {
 	}
 	if o.MemoHit {
 		t.Error("memo hit after a run that never completed")
+	}
+}
+
+// TestMemoKeyMatchesCacheFormat pins the worked example of
+// docs/CACHE_FORMAT.md: examples/submit/saxpy.kernel at the default
+// machines and versions. Persisted responses are addressed by this exact
+// string, so its derivation must never drift. A fingerprint below 2^60
+// must still render as 16 hex digits.
+func TestMemoKeyMatchesCacheFormat(t *testing.T) {
+	const want = "ninjagap-submit/v1|15b7286d82d8416c494d2fa90b64d8d33e826912a9a2d8f5d4e249469d11b37f" +
+		"|m=Core2Quad:8f36c6c83c658594,NehalemI7:488015dd279b6d87,WestmereX980:0776e8ddb14ba579," +
+		"KnightsFerry:a5b36ff7feaef6f8,FutureWide:8f3ab424a412d727" +
+		"|v=naive,autovec,pragma|ninjagap-cell/v3"
+	src, err := os.ReadFile("../../examples/submit/saxpy.kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, k, err := lang.Normalize(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines, err := resolveMachines(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions, err := resolveVersions(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := kernels.FromKernel(k, canonical)
+	if got := memoKey(b, machines, versions); got != want {
+		t.Errorf("submit memo key\n got %s\nwant %s", got, want)
+	}
+
+	m := machine.WestmereX980()
+	for m.Fingerprint()>>60 != 0 {
+		m.FreqGHz += 0.001
+	}
+	seg := fmt.Sprintf("|m=%s:%016x|", m.Name, m.Fingerprint())
+	if got := memoKey(b, []*machine.Machine{m}, versions); !strings.Contains(got, seg) {
+		t.Errorf("submit memo key %s lacks %s", got, seg)
+	}
+}
+
+// TestProcessCompileErrorEverySubmission checks that a kernel the
+// compiler rejects is refused on every submission: rejections are never
+// memoized, so the lookup that precedes compilation cannot answer one.
+func TestProcessCompileErrorEverySubmission(t *testing.T) {
+	resetCaches(t)
+	s := NewService(Limits{})
+	src := `kernel k(f32 restrict x[256], f32 restrict y[256]) {
+    for (i = 0; i < 256; i++) {
+        y[i] = z;
+    }
+}`
+	for i := 0; i < 2; i++ {
+		_, err := s.Process(context.Background(), testReq(src), gap.Config{})
+		var se *Error
+		if !errors.As(err, &se) || se.Code != CodeCompile || se.HTTPStatus() != http.StatusUnprocessableEntity {
+			t.Errorf("submission %d: error %v, want 422 %s", i+1, err, CodeCompile)
+		}
+	}
+	if n := len(s.memo); n != 0 {
+		t.Errorf("compile errors left %d memo entries", n)
 	}
 }
