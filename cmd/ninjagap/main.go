@@ -56,6 +56,7 @@ import (
 	"strings"
 
 	"ninjagap"
+	"ninjagap/internal/kernels"
 	"ninjagap/internal/report"
 	"ninjagap/internal/submit"
 )
@@ -317,14 +318,8 @@ func runOne(cfg ninjagap.Config, machineName, version string, n int) (output, er
 	if err != nil {
 		return output{}, err
 	}
-	var v ninjagap.Version
-	found := false
-	for _, vv := range ninjagap.Versions() {
-		if vv.String() == version {
-			v, found = vv, true
-		}
-	}
-	if !found {
+	v, err := kernels.ParseVersion(version)
+	if err != nil {
 		return output{}, fmt.Errorf("unknown version %q", version)
 	}
 	if n == 0 {

@@ -41,12 +41,6 @@
 //	-cache-dir DIR     persistent measurement cache: restarts serve
 //	                   previously measured cells from disk instead of
 //	                   re-simulating (warm restart)
-//	-workers H1,H2,... coordinator mode: shard each run's cells across
-//	                   these worker daemons (consistent hashing on the
-//	                   cell key, hedged retries, local fallback)
-//	-hedge D           straggler re-dispatch delay in coordinator mode (2s)
-//	-cell-inflight N   concurrent /v1/cell executions served as a worker
-//	                   (GOMAXPROCS)
 //	-submit-max-bytes N  /v1/submit source + body byte cap (65536); the
 //	                   other submission limits (AST size, loop depth,
 //	                   trip count, simulated work) are fixed defaults
@@ -56,8 +50,8 @@
 // request that exceeds -timeout receives 504, and its abandoned cells are
 // not cached. On SIGINT/SIGTERM the daemon stops accepting connections
 // and drains in-flight measurements for up to -drain before exiting.
-// docs/OPERATIONS.md covers running the daemon as a service, the cache
-// directory layout, and coordinator/worker topologies.
+// docs/OPERATIONS.md covers running the daemon as a service and the
+// cache directory layout.
 package main
 
 import (
@@ -88,9 +82,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 	cacheDir := flag.String("cache-dir", "", "persistent measurement cache directory (warm restarts)")
-	workers := flag.String("workers", "", "coordinator mode: comma-separated worker daemon addresses")
-	hedge := flag.Duration("hedge", 2*time.Second, "coordinator straggler re-dispatch delay")
-	cellInFlight := flag.Int("cell-inflight", 0, "concurrent /v1/cell executions as a worker (0 = GOMAXPROCS)")
 	submitMaxBytes := flag.Int("submit-max-bytes", 0, "/v1/submit source byte cap (0 = 65536)")
 	flag.Parse()
 	scale, err := gap.ParseScale(*scaleArg)
@@ -129,17 +120,10 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *timeout,
-		HedgeDelay:     *hedge,
-		CellInFlight:   *cellInFlight,
 	}
 	cfg.Submit.MaxSourceBytes = *submitMaxBytes
 	if *benches != "" {
 		cfg.Benches = strings.Split(*benches, ",")
-	}
-	if *workers != "" {
-		cfg.Workers = strings.Split(*workers, ",")
-		fmt.Fprintf(os.Stderr, "ninjagapd: coordinator mode, sharding cells across %d workers (hedge %v)\n",
-			len(cfg.Workers), *hedge)
 	}
 
 	srv := &http.Server{

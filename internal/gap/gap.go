@@ -39,12 +39,6 @@ type Config struct {
 	// measurement daemon uses it to plumb per-request deadlines through
 	// Scheduler.Run into cell execution.
 	ctx context.Context
-
-	// remote, when non-nil, routes cell execution through a remote
-	// executor (the coordinator mode's worker pool). Set it with
-	// WithRemote; execution falls back to local when the remote path
-	// fails. See remote.go.
-	remote Remote
 }
 
 // WithContext returns a copy of the Config whose experiment runs are

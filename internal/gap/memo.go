@@ -37,9 +37,9 @@ type cellKey struct {
 // deliberately redundant: it is hashed along with the rest, which costs
 // nothing for correctness (the fingerprint already includes m.Name, so
 // the prefix can never make two distinct models collide or split), and
-// it is what makes persisted cache entries and coordinator shard keys
-// greppable by machine when debugging byte-diff drift — the decision is
-// documented in docs/CACHE_FORMAT.md.
+// it is what makes persisted cache entries greppable by machine when
+// debugging byte-diff drift — the decision is documented in
+// docs/CACHE_FORMAT.md.
 func machineSig(m *machine.Machine) string {
 	return fmt.Sprintf("%s|c%d|%.3g|%016x", m.Name, m.Cores, m.FreqGHz, m.Fingerprint())
 }
@@ -159,25 +159,14 @@ func (mo *Memo) Len() int {
 // measured exactly once per process.
 var sharedMemo = NewMemo()
 
-// workerMemo is the process-wide cache for cells executed on behalf of a
-// coordinator (ExecuteCellSpec, behind POST /v1/cell). It is separate
-// from sharedMemo so a process that is simultaneously coordinator and
-// worker cannot deadlock its own singleflight (see ExecuteCellSpec);
-// SetCacheDir attaches the same disk layer to both, so the two still
-// share every persisted measurement.
-var workerMemo = NewMemo()
-
-// ResetMemo clears the process-wide measurement caches (both the local
-// experiment cache and the worker-side cell cache) and VecReport's
+// ResetMemo clears the process-wide measurement cache and VecReport's
 // diagnostics memo. The benchmark harness calls it between iterations so
 // memoization does not turn repeated figure regenerations into cache
 // lookups.
 func ResetMemo() {
-	for _, mo := range []*Memo{sharedMemo, workerMemo} {
-		mo.mu.Lock()
-		mo.entries = map[cellKey]*memoEntry{}
-		mo.mu.Unlock()
-	}
+	sharedMemo.mu.Lock()
+	sharedMemo.entries = map[cellKey]*memoEntry{}
+	sharedMemo.mu.Unlock()
 	vecReports.Lock()
 	vecReports.m = nil
 	vecReports.Unlock()

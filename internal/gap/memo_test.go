@@ -218,8 +218,8 @@ func TestMemoRetriesAfterCancelledWinner(t *testing.T) {
 }
 
 // TestCellKeyMatchesCacheFormat pins the worked example of
-// docs/CACHE_FORMAT.md: persisted entries and coordinator shards are
-// addressed by this exact string, so key derivation must never drift.
+// docs/CACHE_FORMAT.md: persisted entries are addressed by this exact
+// string, so key derivation must never drift.
 func TestCellKeyMatchesCacheFormat(t *testing.T) {
 	const want = "ninjagap-cell/v3|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|false|false"
 	b, err := kernels.ByName("blackscholes")

@@ -1,9 +1,8 @@
 package gap
 
 // Persistent measurement cache: the on-disk layer under the in-memory
-// memo (see memo.go), and the entry codec shared with the coordinator
-// wire protocol (remote.go). Full format documentation, including a
-// worked example entry, lives in docs/CACHE_FORMAT.md.
+// memo (see memo.go) and its entry codec. Full format documentation,
+// including a worked example entry, lives in docs/CACHE_FORMAT.md.
 //
 // Key derivation: the canonical key string is
 //
@@ -42,15 +41,15 @@ import (
 	"ninjagap/internal/store"
 )
 
-// CellSchema tags the on-disk and wire measurement-entry format. Bump it
+// CellSchema tags the on-disk measurement-entry format. Bump it
 // whenever the entry layout, the key grammar or the meaning of any field
 // changes; every existing entry becomes unreachable (not merely invalid),
 // which is the intended invalidation mechanism.
 const CellSchema = "ninjagap-cell/v3"
 
 // String renders the canonical, schema-qualified key of a cell. This
-// exact string is hashed for the on-disk address, recorded inside each
-// entry, and used by the coordinator for consistent-hash sharding.
+// exact string is hashed for the on-disk address and recorded inside
+// each entry.
 func (k cellKey) String() string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%t|%t",
 		CellSchema, k.Bench, k.Version, k.Machine, k.N, k.Threads, k.NoPrefetch, k.Skip)
@@ -113,8 +112,8 @@ func decodeMeasurement(b []byte, wantKey string) (*Measurement, error) {
 	if e.Result == nil {
 		return nil, fmt.Errorf("gap: cell entry has no result")
 	}
-	v, ok := versionByName(e.Version)
-	if !ok {
+	v, err := kernels.ParseVersion(e.Version)
+	if err != nil {
 		return nil, fmt.Errorf("gap: cell entry names unknown version %q", e.Version)
 	}
 	return &Measurement{
@@ -133,16 +132,6 @@ func decodeMeasurement(b []byte, wantKey string) (*Measurement, error) {
 			SourceStmts: e.SourceStmts, Report: e.Report,
 		},
 	}, nil
-}
-
-// versionByName resolves a version by its String() name.
-func versionByName(name string) (kernels.Version, bool) {
-	for _, v := range kernels.Versions() {
-		if v.String() == name {
-			return v, true
-		}
-	}
-	return 0, false
 }
 
 // diskCache layers a persistent store under a Memo. All methods are
@@ -198,19 +187,13 @@ func (d *diskCache) save(key cellKey, m *Measurement) {
 func SetCacheDir(dir string) error {
 	if dir == "" {
 		sharedMemo.setDisk(nil)
-		workerMemo.setDisk(nil)
 		return nil
 	}
 	s, err := store.Open(dir)
 	if err != nil {
 		return err
 	}
-	// One diskCache shared by both process-wide memos: locally dispatched
-	// experiments and coordinator-shipped cells (ExecuteCellSpec) read and
-	// write the same persisted entries, and CacheDirStats aggregates both.
-	d := &diskCache{s: s}
-	sharedMemo.setDisk(d)
-	workerMemo.setDisk(d)
+	sharedMemo.setDisk(&diskCache{s: s})
 	return nil
 }
 

@@ -61,7 +61,7 @@ func TestCellEntryRoundTrip(t *testing.T) {
 		t.Errorf("SourceStmts not restored (fig8 reads it)")
 	}
 	// Re-encoding the decoded measurement must be byte-identical — this is
-	// what makes disk- and wire-served cells indistinguishable in output.
+	// what makes disk-served and computed cells indistinguishable in output.
 	enc2, err := encodeMeasurement(key, got)
 	if err != nil {
 		t.Fatal(err)

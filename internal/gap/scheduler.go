@@ -123,7 +123,6 @@ type Scheduler struct {
 	jobs      int
 	memo      *Memo
 	skipCheck bool
-	remote    Remote
 }
 
 // NewScheduler builds a scheduler with its own memo cache. jobs bounds
@@ -139,9 +138,7 @@ func NewScheduler(jobs int, memo *Memo, skipCheck bool) *Scheduler {
 // backed by the process-wide memo cache so cells shared between figures
 // are measured exactly once per process.
 func (c Config) scheduler() *Scheduler {
-	s := NewScheduler(c.Jobs, sharedMemo, c.SkipCheck)
-	s.remote = c.remote
-	return s
+	return NewScheduler(c.Jobs, sharedMemo, c.SkipCheck)
 }
 
 // workers resolves the pool size.
@@ -187,12 +184,6 @@ func (s *Scheduler) keys(cells []Cell) []cellKey {
 // attributes engine samples to the benchmark, version and machine being
 // simulated rather than to an anonymous worker goroutine (`go tool pprof
 // -tags`, or -focus on one label value); a memo hit sets no labels.
-//
-// With a remote executor configured (coordinator mode), a cache-missing
-// cell is first offered to the worker pool; any remote failure other
-// than the caller's own context expiring degrades gracefully to local
-// execution, so a dead or drained fleet never fails a run it could have
-// computed itself.
 func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurement, error) {
 	return s.memo.do(ctx, key, func() (m *Measurement, err error) {
 		pprof.Do(ctx, pprof.Labels(
@@ -200,32 +191,10 @@ func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurem
 			"version", c.Version.String(),
 			"machine", c.Machine.Name,
 		), func(ctx context.Context) {
-			m, err = s.compute(ctx, c, key)
+			m, err = measureCell(ctx, c, s.skipCheck)
 		})
 		return m, err
 	})
-}
-
-// compute measures a memo-missing cell, remotely when a worker pool is
-// configured and answers, locally otherwise.
-func (s *Scheduler) compute(ctx context.Context, c Cell, key cellKey) (*Measurement, error) {
-	if s.remote != nil {
-		spec, err := c.spec(s.skipCheck)
-		if err == nil {
-			m, err := s.remote.MeasureCell(ctx, spec, key.String())
-			if err == nil {
-				return m, nil
-			}
-			if ctx.Err() != nil {
-				// Report the cancellation, not the remote failure it
-				// provoked, so the memo's never-cache-context-errors
-				// rule classifies (and evicts) this entry correctly.
-				return nil, fmt.Errorf("remote measure: %w", context.Cause(ctx))
-			}
-		}
-		// Remote path failed while we are still live: fall back.
-	}
-	return measureCell(ctx, c, s.skipCheck)
 }
 
 // errsPool recycles Run's per-batch error slates. The experiment drivers

@@ -11,8 +11,7 @@ package gap
 import "ninjagap/internal/store"
 
 // CellKeyString returns the canonical, schema-qualified key string of a
-// cell — the same string the memo, the persistent cache and the
-// coordinator shard on.
+// cell — the same string the persistent cache addresses entries by.
 func CellKeyString(c Cell, skipCheck bool) string {
 	return c.key(skipCheck).String()
 }

@@ -2,12 +2,10 @@ package kernels
 
 // Submitted wraps a user-submitted restricted-C kernel as a Benchmark,
 // so the submission service measures it through exactly the scheduler /
-// memo / coordinator path the built-in figures use. A Submitted is NOT
-// registered in the suite: ByName never resolves one, its name is
-// derived from its content ("submit:" + canonical-source hash), and the
-// coordinator wire format ships the canonical source itself (see
-// gap.CellSpec.Source) — dynamic registration over the wire instead of a
-// registry entry.
+// memo path the built-in figures use. A Submitted is NOT registered in
+// the suite: ByName never resolves one, and its name is derived from its
+// content ("submit:" + canonical-source hash) instead of a registry
+// entry.
 //
 // Determinism contract: two Submitted values built from sources with the
 // same canonical form (lang.Normalize) have the same name, generate the
@@ -27,16 +25,13 @@ import (
 
 // Submitted is a user-submitted kernel playing the role of a benchmark.
 type Submitted struct {
-	src       *lang.Kernel
-	canonical string
-	hash      string // hex SHA-256 of the canonical source
-	n         int    // fixed problem size: the largest declared record count
+	src  *lang.Kernel
+	hash string // hex SHA-256 of the canonical source
+	n    int    // fixed problem size: the largest declared record count
 }
 
-// FromSource parses and normalizes src and wraps it. Workers use it to
-// reconstruct a coordinator-shipped submitted cell; the submission
-// service itself normalizes first (for limit checks) and calls
-// FromKernel.
+// FromSource parses and normalizes src and wraps it. The submission
+// service normalizes first (for limit checks) and calls FromKernel.
 func FromSource(src string) (*Submitted, error) {
 	canonical, k, err := lang.Normalize(src)
 	if err != nil {
@@ -55,13 +50,13 @@ func FromKernel(k *lang.Kernel, canonical string) *Submitted {
 			n = a.Len
 		}
 	}
-	return &Submitted{src: k, canonical: canonical, hash: hex.EncodeToString(sum[:]), n: n}
+	return &Submitted{src: k, hash: hex.EncodeToString(sum[:]), n: n}
 }
 
 // Name identifies the kernel by content: "submit:" plus the first 16 hex
 // digits of the canonical-source hash. Content addressing keeps memo
-// keys, persisted cache entries and coordinator shard keys consistent
-// for the same source in every process without any registry.
+// keys and persisted cache entries consistent for the same source in
+// every process without any registry.
 func (s *Submitted) Name() string { return "submit:" + s.hash[:16] }
 
 // Description says where the kernel came from.
@@ -85,10 +80,6 @@ func (s *Submitted) TestN() int { return s.n }
 
 // SourceHash returns the full hex SHA-256 of the canonical source.
 func (s *Submitted) SourceHash() string { return s.hash }
-
-// SubmitSource returns the canonical source. gap.Cell.spec ships it to
-// coordinator workers in place of a registry name.
-func (s *Submitted) SubmitSource() string { return s.canonical }
 
 // Kernel returns the parsed source.
 func (s *Submitted) Kernel() *lang.Kernel { return s.src }
@@ -120,7 +111,7 @@ func (s *Submitted) Prepare(v Version, m *machine.Machine, n int) (*Instance, er
 
 // fillSubmitted fills one input array with values in [1, 2), seeded by
 // the source hash and the array name: every process — submission daemon,
-// coordinator worker, warm restart — generates identical inputs, and the
+// CLI, warm restart — generates identical inputs, and the
 // range keeps divides, square roots and logs well-conditioned without
 // knowing what the kernel computes.
 func fillSubmitted(dst []float64, hash, name string) {

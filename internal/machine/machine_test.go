@@ -125,8 +125,8 @@ func TestFingerprint(t *testing.T) {
 }
 
 // referenceFingerprint is the fmt-and-reflection rendering Fingerprint
-// reproduces by hand. Every persisted cache key, submit memo key and
-// coordinator shard embeds a fingerprint, so the two must never differ.
+// reproduces by hand. Every persisted cache key and submit memo key
+// embeds a fingerprint, so the two must never differ.
 func referenceFingerprint(m *Machine) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, referenceIdentity(m))

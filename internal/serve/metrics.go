@@ -60,11 +60,6 @@ type metrics struct {
 	submitMemoHits      atomic.Int64 // responses served from the submit memo
 	submitCompileErrors atomic.Int64 // 422s from the compiler proper
 
-	// pool is the coordinator's worker fleet, nil outside coordinator
-	// mode; its shard/hedge/fallback counters are reported under
-	// "coordinator".
-	pool *Pool
-
 	// replies is the server's reply memo, reported under "replies".
 	replies *replyMemo
 }
@@ -89,13 +84,6 @@ func (m *metrics) snapshot() ([]byte, error) {
 		Count   int64     `json:"count"`
 		Errors  int64     `json:"errors"`
 		Latency histogram `json:"latency_ms"`
-	}
-	type coordinator struct {
-		Workers     int   `json:"workers"`
-		RemoteCells int64 `json:"remote_cells"`
-		Hedged      int64 `json:"hedged_dispatches"`
-		Failures    int64 `json:"attempt_failures"`
-		Fallbacks   int64 `json:"local_fallbacks"`
 	}
 	doc := struct {
 		UptimeSeconds float64 `json:"uptime_seconds"`
@@ -128,8 +116,7 @@ func (m *metrics) snapshot() ([]byte, error) {
 			MemoHits      int64 `json:"memo_hits"`
 			CompileErrors int64 `json:"compile_errors"`
 		} `json:"submit"`
-		Coordinator *coordinator        `json:"coordinator,omitempty"`
-		Endpoints   map[string]endpoint `json:"endpoints"`
+		Endpoints map[string]endpoint `json:"endpoints"`
 	}{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Endpoints:     map[string]endpoint{},
@@ -145,11 +132,6 @@ func (m *metrics) snapshot() ([]byte, error) {
 	doc.Submit.Rejected = m.submitRejected.Load()
 	doc.Submit.MemoHits = m.submitMemoHits.Load()
 	doc.Submit.CompileErrors = m.submitCompileErrors.Load()
-	if m.pool != nil {
-		c := &coordinator{Workers: len(m.pool.Workers())}
-		c.RemoteCells, c.Hedged, c.Failures, c.Fallbacks = m.pool.Stats()
-		doc.Coordinator = c
-	}
 	for route, em := range m.endpoints {
 		ep := endpoint{
 			Count:  em.count.Load(),

@@ -5,10 +5,9 @@ package serve
 //
 // A driver's reply bytes are a pure function of the driver id, the
 // effective Scale and Benches, and the resolved format — at any job
-// count, warm or cold, coordinated or not (CI diffs the daemon against
-// the CLI, serial against parallel, and the coordinator against one
-// process). Those four inputs are therefore the whole key; Jobs, the
-// coordinator pool and deadlines are not in it. Only replies whose
+// count, warm or cold (CI diffs the daemon against the CLI, and serial
+// against parallel). Those four inputs are therefore the whole key;
+// Jobs and deadlines are not in it. Only replies whose
 // dispatch and render both succeeded are stored, so an error, a 504 or
 // a bad format is answered afresh every time.
 

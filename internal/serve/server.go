@@ -30,12 +30,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -71,22 +69,6 @@ type Config struct {
 	// submit.DefaultLimits). Submit.MaxSourceBytes doubles as the
 	// endpoint's request-body byte cap.
 	Submit submit.Limits
-
-	// Workers, when non-empty, puts the daemon in coordinator mode: the
-	// cell set of every experiment run is sharded across these worker
-	// daemons (base URLs or host:port) by consistent hashing on the cell
-	// key, with hedged retries and local fallback. See pool.go.
-	Workers []string
-	// HedgeDelay is the coordinator's straggler re-dispatch delay: a
-	// cell unanswered by its primary worker for this long is also sent
-	// to the next worker on the ring (default 2s).
-	HedgeDelay time.Duration
-	// CellInFlight bounds concurrently executing /v1/cell requests on a
-	// worker (default GOMAXPROCS). The per-cell bound is separate from
-	// MaxInFlight, which admits whole experiment runs: one coordinator
-	// figure fans out into many cell requests, and throttling those to
-	// MaxInFlight would starve the fleet.
-	CellInFlight int
 }
 
 func (c Config) withDefaults() Config {
@@ -101,12 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Minute
-	}
-	if c.HedgeDelay <= 0 {
-		c.HedgeDelay = 2 * time.Second
-	}
-	if c.CellInFlight <= 0 {
-		c.CellInFlight = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -126,14 +102,9 @@ var tableIDs = map[string]bool{"table1": true, "table2": true}
 type Server struct {
 	cfg     Config
 	sem     chan struct{}
-	cellSem chan struct{}
 	waiting atomic.Int64
 	met     *metrics
 	mux     *http.ServeMux
-
-	// pool is the coordinator's worker fleet; nil outside coordinator
-	// mode. Experiment configs route cell execution through it.
-	pool *Pool
 
 	// sub processes kernel submissions (POST /v1/submit).
 	sub *submit.Service
@@ -152,8 +123,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		cellSem: make(chan struct{}, cfg.CellInFlight),
-		pool:    NewPool(cfg.Workers, cfg.HedgeDelay),
 		sub:     submit.NewService(cfg.Submit),
 		replies: newReplyMemo(),
 		dispatch: func(ctx context.Context, id string, cfg gap.Config) (gap.Output, error) {
@@ -161,9 +130,8 @@ func New(cfg Config) *Server {
 		},
 	}
 	s.met = newMetrics([]string{
-		"/healthz", "/metrics", "/v1/measure", "/v1/figure", "/v1/table", "/v1/snapshot", "/v1/cell", "/v1/submit",
+		"/healthz", "/metrics", "/v1/measure", "/v1/figure", "/v1/table", "/v1/snapshot", "/v1/submit",
 	})
-	s.met.pool = s.pool
 	s.met.replies = s.replies
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
@@ -172,7 +140,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/figure/{id}", s.instrument("/v1/figure", s.handleFigure))
 	mux.HandleFunc("GET /v1/table/{id}", s.instrument("/v1/table", s.handleTable))
 	mux.HandleFunc("GET /v1/snapshot", s.instrument("/v1/snapshot", s.handleSnapshot))
-	mux.HandleFunc("POST /v1/cell", s.instrument("/v1/cell", s.handleCell))
 	mux.HandleFunc("POST /v1/submit", s.instrument("/v1/submit", s.handleSubmit))
 	s.mux = mux
 	return s
@@ -224,11 +191,6 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // its deadline.
 func (s *Server) requestConfig(r *http.Request) (gap.Config, error) {
 	cfg := gap.Config{Scale: s.cfg.Scale, Jobs: s.cfg.Jobs, Benches: s.cfg.Benches}
-	if s.pool != nil {
-		// Coordinator mode: route this run's cell execution through the
-		// worker fleet (with local fallback per cell).
-		cfg = cfg.WithRemote(s.pool)
-	}
 	q := r.URL.Query()
 	if v := q.Get("scale"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -367,61 +329,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.runDriver(w, r, "bench-export")
 }
 
-// handleCell is the worker half of the coordinator protocol: it
-// executes one fully specified cell (complete machine model included —
-// coordinators measure on mutated clones no registry holds) through this
-// process's own scheduler path, so worker memo and -cache-dir caching
-// apply, and responds with the encoded cell entry. Admission is the
-// per-cell semaphore (CellInFlight), not the run semaphore: one
-// coordinator figure fans out into many cells, and those must be able
-// to fill the worker's cores.
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	var req cellRequest
-	body, ok := s.readBody(w, r, maxCellBodyBytes)
-	if !ok {
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, fmt.Sprintf("bad cell request: %v", err), http.StatusBadRequest)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	select {
-	case s.cellSem <- struct{}{}:
-		defer func() { <-s.cellSem }()
-	case <-ctx.Done():
-		s.writeRunError(w, context.Cause(ctx))
-		return
-	}
-
-	// Cell execution bounded to one scheduler worker: parallelism comes
-	// from concurrent /v1/cell requests (CellInFlight of them), not from
-	// nested fan-out of a single cell.
-	entry, err := gap.ExecuteCellSpec(ctx, req.Spec, 1)
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	if req.Key != "" {
-		// Cross-check the coordinator's key against our own derivation;
-		// disagreement means the two processes would file this
-		// measurement under different cells — refuse loudly.
-		if _, err := gap.DecodeCellResult(entry, req.Key); err != nil {
-			http.Error(w, fmt.Sprintf("cell key mismatch: %v", err), http.StatusConflict)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(entry)
-}
-
-// maxCellBodyBytes caps a /v1/cell request body. A cell spec is a few
-// KB of machine model plus, for submitted cells, a source capped far
-// below this by the submit limits.
-const maxCellBodyBytes = 1 << 20
-
 // readBody reads a POST body under a hard byte cap. A body over the cap
 // is rejected with 413 (the response is already written; the caller just
 // returns), any other read failure with 400. Unlike io.LimitReader,
@@ -452,14 +359,8 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var version kernels.Version
-	found := false
-	for _, v := range kernels.Versions() {
-		if v.String() == q.Get("version") {
-			version, found = v, true
-		}
-	}
-	if !found {
+	version, err := kernels.ParseVersion(q.Get("version"))
+	if err != nil {
 		http.Error(w, fmt.Sprintf("unknown version %q", q.Get("version")), http.StatusBadRequest)
 		return
 	}
@@ -486,11 +387,19 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		}
 		n = gap.LegalN(b, nv)
 	}
+	// The engine builds a thread context, with its own cache hierarchy,
+	// per simulated thread, so an unbounded count would exhaust host
+	// memory; no machine runs more threads than it has.
 	threads := 0
 	if v := q.Get("threads"); v != "" {
 		tv, err := strconv.Atoi(v)
 		if err != nil || tv < 0 {
 			http.Error(w, fmt.Sprintf("bad threads %q", v), http.StatusBadRequest)
+			return
+		}
+		if hw := m.HWThreads(); tv > hw {
+			http.Error(w, fmt.Sprintf("threads %d exceeds %s's %d hardware threads", tv, m.Name, hw),
+				http.StatusBadRequest)
 			return
 		}
 		threads = tv

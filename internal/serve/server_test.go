@@ -130,20 +130,30 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		path string
 		want int
+		msg  string // a substring the reply must contain, if set
 	}{
-		{"/v1/figure/fig99", http.StatusNotFound},
-		{"/v1/table/fig1", http.StatusNotFound},
-		{"/v1/figure/fig1?scale=-2", http.StatusBadRequest},
-		{"/v1/figure/fig1?bench=nope", http.StatusBadRequest},
-		{"/v1/figure/fig1?format=csv", http.StatusBadRequest}, // figures have no CSV form
-		{"/v1/measure?bench=nope&version=naive", http.StatusBadRequest},
-		{"/v1/measure?bench=blackscholes&version=nope", http.StatusBadRequest},
-		{"/v1/measure?bench=blackscholes&version=naive&machine=nope", http.StatusBadRequest},
+		{"/v1/figure/fig99", http.StatusNotFound, ""},
+		{"/v1/table/fig1", http.StatusNotFound, ""},
+		{"/v1/figure/fig1?scale=-2", http.StatusBadRequest, ""},
+		{"/v1/figure/fig1?bench=nope", http.StatusBadRequest, ""},
+		{"/v1/figure/fig1?format=csv", http.StatusBadRequest, ""}, // figures have no CSV form
+		{"/v1/measure?bench=nope&version=naive", http.StatusBadRequest, ""},
+		{"/v1/measure?bench=blackscholes&version=nope", http.StatusBadRequest, ""},
+		{"/v1/measure?bench=blackscholes&version=naive&machine=nope", http.StatusBadRequest, ""},
+		// WestmereX980 has 12 hardware threads: the limit itself measures,
+		// anything above it is refused before the engine allocates one
+		// thread context per requested thread.
+		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=12", http.StatusOK, ""},
+		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=13", http.StatusBadRequest, ""},
+		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=5000", http.StatusBadRequest, "12 hardware threads"},
 	}
 	for _, tc := range cases {
-		code, _, _ := get(t, ts.URL+tc.path)
+		code, body, _ := get(t, ts.URL+tc.path)
 		if code != tc.want {
 			t.Errorf("GET %s = %d, want %d", tc.path, code, tc.want)
+		}
+		if !strings.Contains(string(body), tc.msg) {
+			t.Errorf("GET %s: body %q does not contain %q", tc.path, body, tc.msg)
 		}
 	}
 }

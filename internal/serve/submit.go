@@ -3,8 +3,8 @@ package serve
 // POST /v1/submit — the kernel submission endpoint. The body is either
 // raw restricted-C kernel source or a submit.Request JSON object (first
 // non-space byte '{' selects JSON). Measurement goes through
-// internal/submit, which shares this daemon's scheduler, memo caches,
-// persistent store and (in coordinator mode) worker fleet; this layer
+// internal/submit, which shares this daemon's scheduler, memo caches
+// and persistent store; this layer
 // adds the HTTP concerns: the body byte cap (413), admission through the
 // run semaphore (503), the request deadline (504), structured rejection
 // bodies, and the response headers that carry request-varying metadata —

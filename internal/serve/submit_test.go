@@ -170,18 +170,3 @@ func TestSubmitMetricsCounters(t *testing.T) {
 		t.Errorf("submit counters = %+v, want accepted 2, memo_hits 1, rejected 1", m.Submit)
 	}
 }
-
-// The cell endpoint's body cap must answer 413, not silently truncate.
-func TestCellBodyTooLarge(t *testing.T) {
-	ts := submitTestServer(t, Config{Jobs: 1})
-	big := `{"pad":"` + strings.Repeat("x", maxCellBodyBytes+1) + `"}`
-	resp, err := http.Post(ts.URL+"/v1/cell", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("cell body cap: %d, want 413", resp.StatusCode)
-	}
-}

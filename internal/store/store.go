@@ -1,8 +1,8 @@
 // Package store is a content-addressed on-disk blob store: the
 // persistence layer under the experiment memo cache (internal/gap) and
-// the worker wire format. It maps opaque string keys to opaque byte
-// payloads with exactly the durability semantics a long-lived
-// measurement cache needs:
+// the submission service's response memo (internal/submit). It maps
+// opaque string keys to opaque byte payloads with exactly the
+// durability semantics a long-lived measurement cache needs:
 //
 //   - Writes are atomic: the payload lands in a temp file in the same
 //     directory and is renamed into place, so a crashed or concurrent

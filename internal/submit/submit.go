@@ -3,8 +3,8 @@
 // limits, compiled through the standard lang → compiler pipeline, and
 // measured across machine presets at the source-derived rungs of the
 // effort ladder (naive, autovec, pragma) — through the same experiment
-// scheduler as the built-in figures, so submitted cells are memoized,
-// persisted and coordinator-shardable exactly like built-in ones.
+// scheduler as the built-in figures, so submitted cells are memoized
+// and persisted exactly like built-in ones.
 //
 // The complete response is additionally memoized under the canonical
 // source hash (key family "ninjagap-submit/v1", layered over the same
@@ -204,8 +204,7 @@ func NewService(lim Limits) *Service {
 func (s *Service) Limits() Limits { return s.lim }
 
 // Process measures one submission under ctx. cfg supplies the scheduler
-// parameters that carry over from the host (Jobs and the coordinator
-// remote when the daemon runs one); Scale, Benches and
+// parameters that carry over from the host (Jobs); Scale, Benches and
 // SkipCheck are ignored — submitted kernels run at their declared size,
 // always with SkipCheck (they have no golden reference).
 //
