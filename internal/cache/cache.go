@@ -8,6 +8,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"ninjagap/internal/machine"
 )
@@ -48,16 +49,17 @@ type Result struct {
 	WritebackHit bool    // a dirty line was written back during this access
 }
 
+// line is one way of one set: 24 bytes, the two 64-bit words first and
+// the 32-bit generation and both flags packed into the third.
 type line struct {
 	tag      uint64
-	gen      uint64 // line is valid iff gen equals the level's generation
-	dirty    bool
 	lastUse  uint64 // LRU clock
-	prefetch bool   // filled by prefetcher, not yet demanded
+	gen      uint32 // line is valid iff gen equals the level's generation
+	dirty    bool
+	prefetch bool // filled by prefetcher, not yet demanded
 }
 
 type level struct {
-	cfg machine.CacheLevel
 	// lines holds every set contiguously (set s occupies
 	// lines[s*assoc : (s+1)*assoc]): one allocation, and a probe touches
 	// adjacent memory instead of chasing a per-set slice header.
@@ -66,11 +68,10 @@ type level struct {
 	setMask  uint64
 	offBits  uint
 	tagShift uint   // bits.Len64(setMask), precomputed
-	gen      uint64 // current generation; bumping it invalidates every line
+	gen      uint32 // current generation; bumping it invalidates every line
 	clock    uint64
 	stats    LevelStats
 	latency  float64
-	nextName string
 }
 
 // LevelStats aggregates per-level counters.
@@ -99,7 +100,6 @@ func newLevel(cfg machine.CacheLevel) *level {
 		numSets = 1 << uint(bits.Len(uint(numSets))-1)
 	}
 	l := &level{
-		cfg:     cfg,
 		lines:   make([]line, numSets*cfg.Assoc),
 		assoc:   cfg.Assoc,
 		setMask: uint64(numSets - 1),
@@ -113,9 +113,16 @@ func newLevel(cfg machine.CacheLevel) *level {
 
 // reset invalidates every line and zeroes the counters in O(1): lines are
 // valid only while their generation matches the level's, so bumping the
-// level generation cold-starts the cache without touching the sets.
+// level generation cold-starts the cache without touching the sets. Once
+// every 2^32 resets the generation wraps to 0; lines stamped with the
+// generations about to be reused would then match again, so the wrap
+// clears every line and restarts at 1.
 func (l *level) reset() {
 	l.gen++
+	if l.gen == 0 {
+		clear(l.lines)
+		l.gen = 1
+	}
 	l.clock = 0
 	l.stats = LevelStats{}
 }
@@ -253,6 +260,28 @@ func New(m *machine.Machine, cfg Config) *Hierarchy {
 		h.pf = newPrefetcher(deg, h.lineBytes)
 	}
 	return h
+}
+
+// Key identifies the hierarchy New(m, cfg) builds by the inputs New takes:
+// every field of every cache level, the DRAM latency, and cfg. Two
+// hierarchies with equal keys behave identically after Reset, so callers
+// can pool them under it; machine variants that differ only outside the
+// caches (costs, features, clock, bandwidth) share one key.
+func Key(m *machine.Machine, cfg Config) string {
+	b := make([]byte, 0, 32+48*len(m.Caches))
+	b = strconv.AppendInt(b, int64(cfg.ShareFactor), 10)
+	b = strconv.AppendBool(append(b, '|'), cfg.Prefetch)
+	b = strconv.AppendInt(append(b, '|'), int64(cfg.PrefetchDegree), 10)
+	b = strconv.AppendFloat(append(b, '|'), m.Mem.Latency, 'g', -1, 64)
+	for _, c := range m.Caches {
+		b = strconv.AppendQuote(append(b, '|'), c.Name)
+		b = strconv.AppendInt(append(b, '/'), int64(c.SizeBytes), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(c.Assoc), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(c.LineBytes), 10)
+		b = strconv.AppendFloat(append(b, '/'), c.Latency, 'g', -1, 64)
+		b = strconv.AppendBool(append(b, '/'), c.Shared)
+	}
+	return string(b)
 }
 
 // LineBytes returns the cache line size.

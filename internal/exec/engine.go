@@ -29,6 +29,7 @@ type engine struct {
 	bp        *boundProg
 	threads   []*threadCtx
 	pool      *sync.Pool
+	hc        cache.Config // hierarchy config of every thread, and of every context in pool
 	coresUsed int
 	res       Result
 
@@ -43,10 +44,13 @@ type engine struct {
 }
 
 // threadPools pools thread contexts (register file, mask stack, private
-// cache hierarchy) per distinct (machine model, share factor, prefetch)
-// configuration, so a long-lived process stops paying allocation and GC for
-// every measured cell. Hierarchy geometry depends on exactly that key.
-var threadPools sync.Map // string -> *sync.Pool
+// cache hierarchy) per distinct hierarchy, keyed by cache.Key, so a
+// long-lived process stops paying allocation and GC for every measured
+// cell. Everything else in a context is sized or reset per run, so machine
+// variants whose caches match draw from their base machine's pool: Fig 7's
+// gather/scatter+FMA Westmere, and the ablation's core-count variants at
+// the thread counts other cells also run.
+var threadPools sync.Map // cache.Key -> *sync.Pool
 
 // Run executes prog on machine m with the named arrays bound. It returns
 // the functional result in the arrays (mutated in place) and the simulated
@@ -125,13 +129,13 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 	if e.coresUsed > m.Cores {
 		e.coresUsed = m.Cores
 	}
-	pf := m.Feat.HWPrefetch && !opt.DisablePrefetch
-	key := fmt.Sprintf("%016x|%d|%t", m.Fingerprint(), e.coresUsed, pf)
-	poolI, _ := threadPools.LoadOrStore(key, &sync.Pool{})
+	e.hc = cache.Config{ShareFactor: e.coresUsed, Prefetch: m.Feat.HWPrefetch && !opt.DisablePrefetch}
+	poolI, _ := threadPools.LoadOrStore(cache.Key(m, e.hc), &sync.Pool{})
 	e.pool = poolI.(*sync.Pool)
 	e.threads = make([]*threadCtx, 0, nt)
 	for t := 0; t < nt; t++ {
-		e.threads = append(e.threads, e.getThread(t, pf))
+		pooled, _ := e.pool.Get().(*threadCtx)
+		e.threads = append(e.threads, e.readyThread(pooled, t))
 	}
 	e.res.Threads = nt
 	return e, nil
@@ -146,16 +150,12 @@ func (e *engine) lineOf(addr uint64) uint64 {
 	return addr / lb * lb
 }
 
-// getThread takes a context from the pool (or builds one) and resets it to
-// the fresh-context state: zero registers, full mask, cold caches.
-func (e *engine) getThread(id int, prefetch bool) *threadCtx {
-	var t *threadCtx
-	if v := e.pool.Get(); v != nil {
-		t = v.(*threadCtx)
-	} else {
-		t = &threadCtx{
-			hier: cache.New(e.m, cache.Config{ShareFactor: e.coresUsed, Prefetch: prefetch}),
-		}
+// readyThread resets a pooled context t, or builds one when t is nil, to
+// the fresh-context state for thread id: zero registers, full mask, cold
+// caches.
+func (e *engine) readyThread(t *threadCtx, id int) *threadCtx {
+	if t == nil {
+		t = &threadCtx{hier: cache.New(e.m, e.hc)}
 	}
 	t.e = e
 	t.id = id

@@ -37,7 +37,7 @@ type threadCtx struct {
 	// cursors is one cache.LineCursor per bound instruction: scalar loads
 	// and stores touch their line through the cursor, so tight scalar walks
 	// (merge loops, ray marches) that stay on one line skip the set probe
-	// and prefetcher table. Sized and cleared per run in getThread.
+	// and prefetcher table. Sized and cleared per run in readyThread.
 	cursors []cache.LineCursor
 	// memLines is the distinct-line scratch of the slow memory paths
 	// (slowLoad/slowStore/gather/scatter). Living on the context, it is

@@ -24,11 +24,6 @@ type Options struct {
 	// machine features (ablation E9).
 	DisablePrefetch bool
 
-	// CheckBounds enables array bounds checking with instruction context
-	// (slower; on by default in tests via Run, off only for benches).
-	// Bounds are always checked; this flag only enriches diagnostics.
-	CheckBounds bool
-
 	// NoFuse disables bind-time superinstruction fusion (see fuse.go).
 	// Fused dispatch is bit-identical to unfused dispatch by construction,
 	// so the flag changes wall-clock only; it exists for the differential
