@@ -24,6 +24,9 @@
 // to `ninjagap <cmd> -json` at the same scale/jobs; `?format=text` and
 // (for tables/snapshot) `?format=csv` select the other encodings, and
 // `?scale=`, `?bench=` override the server defaults per request.
+// `?scale=` takes what -scale takes; NaN and Inf answer 400. A repeated
+// figure, table, snapshot or measure request is answered from a reply
+// memo, without waiting for admission.
 //
 // Flags:
 //

@@ -59,8 +59,9 @@ type Result struct {
 	// GFlops is the achieved useful GFLOP/s.
 	GFlops float64
 
-	// BoundBy summarizes the binding constraint of the dominant segment:
-	// "compute", "latency", or "bandwidth".
+	// BoundBy classifies the whole run from its totals: "bandwidth" if
+	// BWExtraCycles exceed 30% of Cycles, else "latency" if StallCycles
+	// do, else "compute".
 	BoundBy string
 
 	// PortCycles aggregates port occupancy over all threads.

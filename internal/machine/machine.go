@@ -11,7 +11,7 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 )
 
@@ -257,8 +257,22 @@ func (m *Machine) Validate() error {
 //
 // The hash is 64-bit FNV-1a over the identity string appendIdentity
 // builds, rendered into a stack buffer: no fmt, no reflection and no
-// allocation, because every cache key derivation pays for it.
+// allocation, because every cache key derivation pays for it. An
+// unmodified preset — one equal, field for field, to the preset its name
+// names — skips even that: each preset's fingerprint is computed once per
+// process (see presets). A clone changed by SetCost, WithCores,
+// WithFeatures or a field edit fails the comparison and hashes itself.
 func (m *Machine) Fingerprint() uint64 {
+	if p := presetNamed(m.Name); p != nil {
+		if ref, fp := p.pristine(); m.sameModel(ref) {
+			return fp
+		}
+	}
+	return m.hash()
+}
+
+// hash is Fingerprint without the preset table: it always hashes.
+func (m *Machine) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -327,6 +341,40 @@ func (m *Machine) appendIdentity(b []byte) []byte {
 	return b
 }
 
+// sameModel reports whether m and o are the same model field for field,
+// so that they render the same identity string. Floats compare by value
+// and sign, since appendIdentity renders 0 and -0 differently; NaN
+// equals nothing, so a machine holding one is always hashed. A field
+// added to Machine, or a float added to one of its structs, must be
+// compared here; TestSameModelSeesEveryField fails until it is.
+func (m *Machine) sameModel(o *Machine) bool {
+	if m.Name != o.Name || m.Year != o.Year || m.Cores != o.Cores ||
+		!sameFloat(m.FreqGHz, o.FreqGHz) || m.VecWidthF32 != o.VecWidthF32 ||
+		m.VecWidthF64 != o.VecWidthF64 || m.IssueWidth != o.IssueWidth ||
+		!sameFloat(m.BranchMissPenalty, o.BranchMissPenalty) ||
+		m.Mem != o.Mem || !sameFloat(m.Mem.BandwidthGBps, o.Mem.BandwidthGBps) ||
+		!sameFloat(m.Mem.Latency, o.Mem.Latency) || m.Feat != o.Feat ||
+		len(m.Caches) != len(o.Caches) {
+		return false
+	}
+	for i := range m.Caches {
+		a, b := &m.Caches[i], &o.Caches[i]
+		if *a != *b || !sameFloat(a.Latency, b.Latency) {
+			return false
+		}
+	}
+	for i := range m.costs {
+		a, b := &m.costs[i], &o.costs[i]
+		if *a != *b || !sameFloat(a.RecipTput, b.RecipTput) || !sameFloat(a.Latency, b.Latency) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFloat reports whether a and b render alike: equal and of one sign.
+func sameFloat(a, b float64) bool { return a == b && math.Signbit(a) == math.Signbit(b) }
+
 // appendInt appends v as fmt's %d renders it.
 func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
@@ -360,21 +408,4 @@ func (m *Machine) WithCores(n int) *Machine {
 func (m *Machine) String() string {
 	return fmt.Sprintf("%s: %d cores x %d SMT @ %.2f GHz, %d-wide f32 SIMD, %.0f GB/s",
 		m.Name, m.Cores, m.smt(), m.FreqGHz, m.VecWidthF32, m.Mem.BandwidthGBps)
-}
-
-// All returns the registered preset machines sorted by introduction year.
-func All() []*Machine {
-	out := []*Machine{Core2Quad(), NehalemI7(), WestmereX980(), KnightsFerry(), FutureWide()}
-	sort.Slice(out, func(i, j int) bool { return out[i].Year < out[j].Year })
-	return out
-}
-
-// ByName returns the preset machine with the given name, or an error.
-func ByName(name string) (*Machine, error) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("machine: unknown machine %q", name)
 }

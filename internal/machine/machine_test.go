@@ -34,8 +34,8 @@ func TestByName(t *testing.T) {
 	if m.Cores != 6 {
 		t.Errorf("WestmereX980 cores = %d, want 6", m.Cores)
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
+	if _, err := ByName("nope"); err == nil || err.Error() != `machine: unknown machine "nope"` {
+		t.Errorf("ByName(nope) error = %v, want machine: unknown machine \"nope\"", err)
 	}
 }
 

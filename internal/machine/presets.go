@@ -1,5 +1,66 @@
 package machine
 
+import (
+	"fmt"
+	"sync"
+)
+
+// preset is one row of the preset table.
+type preset struct {
+	name  string
+	build func() *Machine
+	// pristine returns a copy of the preset that is never handed out,
+	// and its fingerprint, both made on first use and kept for the
+	// process.
+	pristine func() (*Machine, uint64)
+}
+
+// presets is the preset table, in the order All returns: by introduction
+// year, WestmereX980 before KnightsFerry within 2010. It drives All,
+// ByName and the preset fingerprints Fingerprint answers from.
+var presets = newPresets(Core2Quad, NehalemI7, WestmereX980, KnightsFerry, FutureWide)
+
+func newPresets(builds ...func() *Machine) []preset {
+	out := make([]preset, len(builds))
+	for i, build := range builds {
+		out[i] = preset{name: build().Name, build: build,
+			pristine: sync.OnceValues(func() (*Machine, uint64) {
+				m := build()
+				return m, m.hash()
+			})}
+	}
+	return out
+}
+
+// presetNamed returns the table row for name, or nil.
+func presetNamed(name string) *preset {
+	for i := range presets {
+		if presets[i].name == name {
+			return &presets[i]
+		}
+	}
+	return nil
+}
+
+// All returns fresh copies of the preset machines, sorted by
+// introduction year.
+func All() []*Machine {
+	out := make([]*Machine, len(presets))
+	for i := range presets {
+		out[i] = presets[i].build()
+	}
+	return out
+}
+
+// ByName returns a fresh copy of the named preset machine, or an error.
+// It builds only that preset.
+func ByName(name string) (*Machine, error) {
+	if p := presetNamed(name); p != nil {
+		return p.build(), nil
+	}
+	return nil, fmt.Errorf("machine: unknown machine %q", name)
+}
+
 // Default cost tables. The numbers are calibrated against published
 // instruction tables for the corresponding microarchitectures (Fog's
 // tables for Core 2 / Nehalem / Westmere; Intel's LRBni disclosures for the

@@ -1,14 +1,16 @@
 package serve
 
-// The reply memo: rendered figure, table and snapshot replies, answered
-// again without dispatching, rendering or taking an execution slot.
+// The reply memo: rendered figure, table, snapshot and measure replies,
+// answered again without dispatching, measuring, rendering or taking an
+// execution slot.
 //
 // A driver's reply bytes are a pure function of the driver id, the
 // effective Scale and Benches, and the resolved format — at any job
 // count, warm or cold (CI diffs the daemon against the CLI, and serial
 // against parallel). Those four inputs are therefore the whole key;
-// Jobs and deadlines are not in it. Only replies whose
-// dispatch and render both succeeded are stored, so an error, a 504 or
+// Jobs and deadlines are not in it. A measure reply is likewise a pure
+// function of its resolved cell and format (measureKey). Only replies
+// whose run and render both succeeded are stored, so an error, a 504 or
 // a bad format is answered afresh every time.
 
 import (
@@ -74,6 +76,17 @@ func replyKey(id string, cfg gap.Config, f string) string {
 	sb.WriteByte('|')
 	sb.WriteString(f)
 	return sb.String()
+}
+
+// measureKey is the reply memo's key for a /v1/measure reply: bench,
+// version, machine, resolved n, requested threads and format. The scale
+// is not in it, since it only picks n, so an explicit n equal to the
+// scale's shares the entry. Names are validated and hold no '|', the
+// format comes last, and no driver id is "measure", so the key is
+// unambiguous and never equals a replyKey.
+func measureKey(c gap.Cell, f string) string {
+	return "measure|" + c.Bench.Name() + "|" + c.Version.String() + "|" + c.Machine.Name + "|" +
+		strconv.Itoa(c.N) + "|" + strconv.Itoa(c.Threads) + "|" + f
 }
 
 // replyMemo is a Server's bounded reply memo. Safe for concurrent use.

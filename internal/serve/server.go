@@ -13,9 +13,10 @@
 // Responses render through the same gap.Dispatch/Output.Emit layer as
 // cmd/ninjagap, so a JSON figure body is byte-identical to the CLI's
 // `-json` output for the same configuration (CI diffs /v1/snapshot
-// against `ninjagap bench-export`). Figure, table and snapshot replies
-// are then kept in a bounded per-Server reply memo (replies.go) and
-// answered from it, ahead of admission, on every later identical request.
+// against `ninjagap bench-export`). Figure, table, snapshot and measure
+// replies are then kept in a bounded per-Server reply memo (replies.go)
+// and answered from it, ahead of admission, on every later identical
+// request.
 //
 // Robustness: every measuring endpoint passes through a bounded admission
 // semaphore — at most MaxInFlight experiment runs execute concurrently,
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -187,15 +189,14 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 }
 
 // requestConfig builds the experiment Config for one request: server
-// defaults, query overrides (scale, bench), and the request context with
-// its deadline.
-func (s *Server) requestConfig(r *http.Request) (gap.Config, error) {
+// defaults and the query's overrides. ?scale= parses as the CLIs' -scale
+// does (gap.ParseScale): a positive finite number or a preset name.
+func (s *Server) requestConfig(q url.Values) (gap.Config, error) {
 	cfg := gap.Config{Scale: s.cfg.Scale, Jobs: s.cfg.Jobs, Benches: s.cfg.Benches}
-	q := r.URL.Query()
 	if v := q.Get("scale"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			return cfg, fmt.Errorf("bad scale %q", v)
+		f, err := gap.ParseScale(v)
+		if err != nil {
+			return cfg, err
 		}
 		cfg.Scale = f
 	}
@@ -212,24 +213,35 @@ func (s *Server) requestConfig(r *http.Request) (gap.Config, error) {
 }
 
 // format resolves the response encoding (default json over HTTP).
-func format(r *http.Request) string {
-	if f := r.URL.Query().Get("format"); f != "" {
+func format(q url.Values) string {
+	if f := q.Get("format"); f != "" {
 		return f
 	}
 	return "json"
 }
 
-// runDriver answers one experiment from the reply memo, or admits, runs
-// and emits it under the request's deadline, mapping failures to HTTP
-// statuses. A memoized reply takes no execution slot.
+// runDriver answers one experiment driver's request through the reply
+// memo.
 func (s *Server) runDriver(w http.ResponseWriter, r *http.Request, id string) {
-	cfg, err := s.requestConfig(r)
+	q := r.URL.Query()
+	cfg, err := s.requestConfig(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	f := format(r)
-	key := replyKey(id, cfg, f)
+	f := format(q)
+	s.memoized(w, r, replyKey(id, cfg, f), f, func(ctx context.Context) (gap.Output, error) {
+		return s.dispatch(ctx, id, cfg)
+	})
+}
+
+// memoized answers a validated request from the reply memo under key, or
+// admits it, runs it under the request's deadline, renders it in format f
+// in full (so a bad format can still change the status line) and stores
+// the reply. Failures map to HTTP statuses and are never stored. A
+// memoized reply takes no execution slot.
+func (s *Server) memoized(w http.ResponseWriter, r *http.Request, key, f string,
+	run func(ctx context.Context) (gap.Output, error)) {
 	if rep, ok := s.replies.get(key); ok {
 		rep.write(w)
 		return
@@ -244,7 +256,7 @@ func (s *Server) runDriver(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	defer release()
 
-	out, err := s.dispatch(ctx, id, cfg)
+	out, err := run(ctx)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -255,17 +267,6 @@ func (s *Server) runDriver(w http.ResponseWriter, r *http.Request, id string) {
 		return
 	}
 	s.replies.put(key, rep)
-	rep.write(w)
-}
-
-// writeOutput renders the selected encoding in full (so errors can still
-// change the status line) and sends it.
-func (s *Server) writeOutput(w http.ResponseWriter, r *http.Request, out gap.Output) {
-	rep, err := render(out, format(r))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	rep.write(w)
 }
 
@@ -351,7 +352,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 
 // handleMeasure measures one (bench, version, machine, n, threads) cell
 // through the scheduler and the shared memo cache, returning its
-// BenchRecord.
+// BenchRecord. The request is validated and resolved in full first, so
+// that a repeat is answered from the reply memo before admission.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	b, err := kernels.ByName(q.Get("bench"))
@@ -373,7 +375,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cfg, err := s.requestConfig(r)
+	cfg, err := s.requestConfig(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -405,32 +407,25 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		threads = tv
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	release, err := s.admit(ctx)
-	if err != nil {
-		s.writeAdmissionError(w, err)
-		return
-	}
-	defer release()
-
+	f := format(q)
 	cell := gap.Cell{Bench: b, Version: version, Machine: m, N: n, Threads: threads}
-	ms, err := gap.RunCells(cfg.WithContext(ctx), []gap.Cell{cell})
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	meas := ms[0]
-	rec := report.BenchRecord{
-		Bench: meas.Bench, Version: meas.Version.String(), Machine: meas.Machine,
-		N: meas.N, Threads: meas.Threads, Seconds: meas.Res.Seconds,
-		GFlops: meas.Res.GFlops, BoundBy: meas.Res.BoundBy,
-	}
-	s.writeOutput(w, r, gap.Output{
-		Text: func() string {
-			return fmt.Sprintf("%s/%s on %s (n=%d, %d threads): %v\n",
-				rec.Bench, rec.Version, rec.Machine, rec.N, rec.Threads, meas.Res)
-		},
-		Data: rec,
+	s.memoized(w, r, measureKey(cell, f), f, func(ctx context.Context) (gap.Output, error) {
+		ms, err := gap.RunCells(cfg.WithContext(ctx), []gap.Cell{cell})
+		if err != nil {
+			return gap.Output{}, err
+		}
+		meas := ms[0]
+		rec := report.BenchRecord{
+			Bench: meas.Bench, Version: meas.Version.String(), Machine: meas.Machine,
+			N: meas.N, Threads: meas.Threads, Seconds: meas.Res.Seconds,
+			GFlops: meas.Res.GFlops, BoundBy: meas.Res.BoundBy,
+		}
+		return gap.Output{
+			Text: func() string {
+				return fmt.Sprintf("%s/%s on %s (n=%d, %d threads): %v\n",
+					rec.Bench, rec.Version, rec.Machine, rec.N, rec.Threads, meas.Res)
+			},
+			Data: rec,
+		}, nil
 	})
 }

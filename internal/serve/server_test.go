@@ -146,6 +146,13 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=12", http.StatusOK, ""},
 		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=13", http.StatusBadRequest, ""},
 		{"/v1/measure?bench=blackscholes&version=algo&n=64&machine=WestmereX980&threads=5000", http.StatusBadRequest, "12 hardware threads"},
+		// A scale must be finite: NaN and +Inf used to measure the test
+		// size, a number nobody asked for.
+		{"/v1/figure/fig1?scale=NaN", http.StatusBadRequest, "bad scale"},
+		{"/v1/figure/fig1?scale=Inf", http.StatusBadRequest, "bad scale"},
+		{"/v1/measure?bench=blackscholes&version=naive&scale=NaN", http.StatusBadRequest, "bad scale"},
+		{"/v1/measure?bench=blackscholes&version=naive&scale=nan", http.StatusBadRequest, "bad scale"},
+		{"/v1/measure?bench=blackscholes&version=naive&scale=Inf", http.StatusBadRequest, "bad scale"},
 	}
 	for _, tc := range cases {
 		code, body, _ := get(t, ts.URL+tc.path)
@@ -331,7 +338,8 @@ func TestShutdownDrains(t *testing.T) {
 
 // TestMetricsMemoTraffic checks that /metrics shows which cache answered:
 // a repeated identical figure request is a reply-memo hit that computes
-// no cell, a repeated /v1/measure request is a cell-memo hit, and the
+// no cell; a /v1/measure of a cell fig1 measured is a cell-memo hit, and
+// its repeat a reply-memo hit that reaches no cell memo; and the
 // endpoint histogram fills.
 func TestMetricsMemoTraffic(t *testing.T) {
 	ts := httptest.NewServer(New(smallCfg()).Handler())
@@ -403,14 +411,22 @@ func TestMetricsMemoTraffic(t *testing.T) {
 	if code, body, _ := get(t, ts.URL+measure); code != http.StatusOK {
 		t.Fatalf("measure = %d: %s", code, body)
 	}
-	before = metrics()
+	first := metrics()
+	if first.Memo.Hits <= after.Memo.Hits || first.Memo.Misses != after.Memo.Misses {
+		t.Errorf("measure of a fig1 cell: memo hits %d -> %d, misses %d -> %d; want a hit and no miss",
+			after.Memo.Hits, first.Memo.Hits, after.Memo.Misses, first.Memo.Misses)
+	}
 	if code, _, _ := get(t, ts.URL+measure); code != http.StatusOK {
 		t.Fatal("second measure failed")
 	}
-	after = metrics()
-	if after.Memo.Hits <= before.Memo.Hits {
-		t.Errorf("memo hits did not grow across identical measure requests: %d -> %d",
-			before.Memo.Hits, after.Memo.Hits)
+	second := metrics()
+	if second.Replies.Hits <= first.Replies.Hits {
+		t.Errorf("reply hits did not grow across identical measure requests: %d -> %d",
+			first.Replies.Hits, second.Replies.Hits)
+	}
+	if second.Memo.Hits != first.Memo.Hits || second.Memo.Misses != first.Memo.Misses {
+		t.Errorf("repeated measure reached the cell memo: hits %d -> %d, misses %d -> %d",
+			first.Memo.Hits, second.Memo.Hits, first.Memo.Misses, second.Memo.Misses)
 	}
 }
 

@@ -36,7 +36,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, &submit.Error{Code: submit.CodeBadRequest, Msg: err.Error()})
 		return
 	}
-	cfg, err := s.requestConfig(r)
+	cfg, err := s.requestConfig(r.URL.Query())
 	if err != nil {
 		s.met.submitRejected.Add(1)
 		writeSubmitError(w, &submit.Error{Code: submit.CodeBadRequest, Msg: err.Error()})

@@ -171,7 +171,7 @@ func Run(b Bench, v Version, m *Machine, n int) (*Measurement, error) {
 type Config = gap.Config
 
 // ParseScale resolves a -scale flag value: a named preset (smoke=0.05,
-// small=0.1, medium=0.5, full=1) or a positive number.
+// small=0.1, medium=0.5, full=1) or a positive finite number.
 var ParseScale = gap.ParseScale
 
 // Kernel is a restricted-C source program; Array declares one of its
