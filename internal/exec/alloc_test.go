@@ -34,9 +34,9 @@ func allocProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 
 // interpProbeProg builds a program that drives the pure-interpreter hot
 // paths the threaded dispatcher owns: scalar loads and stores (the
-// LineCursor path), fusable load+arith / arith+store / compare+maskpush
-// pairs, a masked if, and a data-dependent while loop — n scalar
-// iterations with no vector loop.
+// LineCursor path), scalar arithmetic, a compare feeding a mask push, a
+// masked if, and a data-dependent while loop — n scalar iterations with no
+// vector loop.
 func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 	b := vm.NewBuilder("interpprobe")
 	src := b.Array("src", 4)
@@ -44,9 +44,9 @@ func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 	one := b.Const(1)
 	i := b.Loop(0, n)
 	v := b.LoadScalar(src, i)        // scalar load through a cursor
-	w := b.Scalar2(vm.OpAdd, v, one) // load+arith fusable pair
-	b.StoreScalar(dst, w, i)         // arith+store fusable pair
-	c := b.Op2(vm.OpCmpLT, v, one)   // compare+maskpush fusable pair
+	w := b.Scalar2(vm.OpAdd, v, one) // scalar arithmetic handler
+	b.StoreScalar(dst, w, i)         // scalar store through a cursor
+	c := b.Op2(vm.OpCmpLT, v, one)   // compare feeding a mask push
 	b.IfMask(c)
 	b.Op1(vm.OpNeg, v)
 	b.End()
@@ -67,11 +67,11 @@ func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 
 // TestInterpreterPathAllocs is TestSlowMemoryPathAllocs for the threaded
 // dispatcher itself: a 32x larger pure-interpreter problem (every dynamic
-// instruction goes through handler dispatch, the fused superinstructions
-// and the scalar cursor path) must not allocate more than the small
-// problem plus a small constant. Per-thread state —
-// the register file, the cursor table, the mask stack — is pooled and
-// sized by the program, never by n.
+// instruction goes through handler dispatch, the scalar handlers, the
+// charge-row counters and the scalar cursor path) must not allocate more
+// than the small problem plus a small constant. Per-thread state — the
+// register file, the cursor table, the mask stack, the cost accumulator —
+// is pooled and sized by the program, never by n.
 func TestInterpreterPathAllocs(t *testing.T) {
 	m := machine.WestmereX980()
 	run := func(n int64) float64 {

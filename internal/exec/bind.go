@@ -5,28 +5,38 @@ package exec
 // instructions carry everything the interpreter would otherwise re-derive
 // per dynamic instruction — effective SIMD width, register-file offsets,
 // resolved array pointers and element sizes, issue-port charge rows
-// (port + occupancy + class), loop-carried stall contributions, stride
-// classes, expanded shuffle patterns and branch-miss penalties. The
-// interpreter then walks a contiguous []bInstr doing array arithmetic only.
+// (indices into the engine's row table, see chargeRow), loop-carried stall
+// contributions, stride classes, expanded shuffle patterns and branch-miss
+// penalties. The interpreter then walks a contiguous []bInstr doing array
+// arithmetic only.
 //
 // Binding is cost-model-exact: every precomputed value is produced by the
 // same floating-point expressions, in the same order, as the previous
 // per-iteration code paths, so simulated results are bit-identical.
 
 import (
+	"math"
 	"math/bits"
 
 	"ninjagap/internal/machine"
 	"ninjagap/internal/vm"
 )
 
-// chargeRow is one pre-resolved issue charge: adding it to a costAcc is the
-// bound equivalent of threadCtx.charge(class, lanes).
+// chargeRow is one pre-resolved issue charge: port, occupancy and class of
+// one dynamic instruction of a class at a fixed lane count. Bind gives
+// each distinct row of a run an index (rowID) in engine.rows; a costAcc
+// counts charges per index and folds the counts into port cycles and class
+// counts when the segment flushes (see costAcc.fold).
 type chargeRow struct {
 	port  machine.Port
 	occ   float64
 	class machine.OpClass
 }
+
+// rowID indexes engine.rows. A run binds each op class at one lane or at
+// the machine width only, so it has at most 2*NumOpClasses distinct rows;
+// a uint8 index into costAcc's 256 counters needs no bounds check.
+type rowID uint8
 
 // Memory-instruction stride classes (vector form).
 const (
@@ -40,14 +50,8 @@ type bInstr struct {
 	op vm.Op
 	w  int // effective SIMD width (1 for Scalar instructions)
 
-	// fn is the pre-bound handler dispatch target. For a fused
-	// superinstruction it is hFused, fnA holds the instruction's own
-	// handler, next points at the absorbed successor, and fuse is how many
-	// extra instructions the dispatch covers (see fuse.go).
-	fn   handlerFn
-	fnA  handlerFn
-	next *bInstr
-	fuse uint8
+	// fn is the pre-bound handler dispatch target (see bindHandler).
+	fn handlerFn
 
 	// idx is the instruction's arena index; per-thread per-instruction
 	// state (the scalar-access line cursors) is keyed by it.
@@ -64,7 +68,7 @@ type bInstr struct {
 	// Pre-resolved charges. ch is the primary issue charge; chB and chC
 	// are op-specific extras (FMA fallback add, strided-access shuffles,
 	// masked-store blends, horizontal-reduction adds).
-	ch, chB, chC chargeRow
+	ch, chB, chC rowID
 	hasChB       bool // arithmetic op issues chB unconditionally (FMA w/o HW)
 
 	flopsMul     int     // useful flops per active lane (0, 1 or 2)
@@ -103,11 +107,22 @@ type boundProg struct {
 	top    vm.Span
 }
 
-// row builds a charge row for one op class at a fixed lane count; occupancy
-// is computed exactly as threadCtx.charge did.
-func (e *engine) row(cl machine.OpClass, lanes int) chargeRow {
+// row returns the index of the charge row for one op class at a fixed lane
+// count, adding the row to the engine's table on first use.
+func (e *engine) row(cl machine.OpClass, lanes int) rowID {
 	c := e.m.Cost(cl)
-	return chargeRow{port: c.Port, occ: c.Occupancy(lanes), class: cl}
+	r := chargeRow{port: c.Port, occ: c.Occupancy(lanes), class: cl}
+	for i, have := range e.rows {
+		if have.port == r.port && have.class == r.class &&
+			math.Float64bits(have.occ) == math.Float64bits(r.occ) {
+			return rowID(i)
+		}
+	}
+	if len(e.rows) > math.MaxUint8 {
+		panic("exec: more distinct charge rows than rowID can index")
+	}
+	e.rows = append(e.rows, r)
+	return rowID(len(e.rows) - 1)
 }
 
 // carriedStallFor precomputes chargeCarried's stall contribution with the
@@ -133,10 +148,7 @@ func (e *engine) bind(fp *vm.FlatProg) *boundProg {
 		bi := &bp.instrs[i]
 		e.bindInstr(bi, &fp.Instrs[i])
 		bi.idx = int32(i)
-		bi.fn = handlerFor(bi.op)
-	}
-	if !e.opt.NoFuse {
-		e.fuse(bp, fp)
+		bi.fn = bindHandler(bi)
 	}
 	return bp
 }

@@ -333,6 +333,11 @@ func TestResultAccountingInvariants(t *testing.T) {
 	if total == 0 {
 		t.Error("no class counts recorded")
 	}
+	// Every charge issues one instruction of one class, and the engine
+	// derives DynInstrs from the class counts it folds at each flush.
+	if r.DynInstrs != total {
+		t.Errorf("DynInstrs = %d, want the sum of ClassCounts, %d", r.DynInstrs, total)
+	}
 }
 
 func TestMICWiderSIMDFasterThanWestmereForCompute(t *testing.T) {

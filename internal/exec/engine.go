@@ -27,7 +27,9 @@ type engine struct {
 	lineBytes int
 	lineMask  uint64 // ^(lineBytes-1) when lineBytes is a power of two, else 0
 	bp        *boundProg
+	rows      []chargeRow // charge-row table; bInstr rows index it
 	threads   []*threadCtx
+	cores     []coreAgg // flushSegment's per-core scratch, indexed by core
 	pool      *sync.Pool
 	hc        cache.Config // hierarchy config of every thread, and of every context in pool
 	coresUsed int
@@ -129,6 +131,7 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 	if e.coresUsed > m.Cores {
 		e.coresUsed = m.Cores
 	}
+	e.cores = make([]coreAgg, e.coresUsed)
 	e.hc = cache.Config{ShareFactor: e.coresUsed, Prefetch: m.Feat.HWPrefetch && !opt.DisablePrefetch}
 	poolI, _ := threadPools.LoadOrStore(cache.Key(m, e.hc), &sync.Pool{})
 	e.pool = poolI.(*sync.Pool)
@@ -174,7 +177,6 @@ func (e *engine) readyThread(t *threadCtx, id int) *threadCtx {
 		t.cursors = t.cursors[:ni]
 		clear(t.cursors)
 	}
-	t.nFused = 0
 	t.mask = t.fullMask()
 	t.act = e.W
 	t.maskStack = t.maskStack[:0]
@@ -187,15 +189,9 @@ func (e *engine) readyThread(t *threadCtx, id int) *threadCtx {
 }
 
 // releaseThreads returns the contexts to the pool. The engine pointer is
-// cleared so a pooled context cannot pin a finished run's memory. Each
-// thread's fused-dispatch tally is folded into the process-wide counter
-// here, once per run, keeping the hot path free of atomics.
+// cleared so a pooled context cannot pin a finished run's memory.
 func (e *engine) releaseThreads() {
 	for _, t := range e.threads {
-		if t.nFused != 0 {
-			fusedInstrs.Add(t.nFused)
-			t.nFused = 0
-		}
 		t.e = nil
 		e.pool.Put(t)
 	}
@@ -209,17 +205,13 @@ func (e *engine) releaseThreads() {
 func (e *engine) runTop() error {
 	main := e.threads[0]
 	top := e.bp.top
-	for i := top.Start; i < top.End; {
+	for i := top.Start; i < top.End; i++ {
 		bi := &e.bp.instrs[i]
-		// A fused superinstruction covers bi.fuse trailing instructions
-		// (its first element is never a parallel loop, see fuse.go).
-		adv := 1 + int32(bi.fuse)
 		if bi.op != vm.OpParLoop || len(e.threads) == 1 {
 			bi.fn(main, bi)
 			if main.err != nil {
 				return main.err
 			}
-			i += adv
 			continue
 		}
 		// Close the current sequential segment before forking.
@@ -227,7 +219,6 @@ func (e *engine) runTop() error {
 		if err := e.parLoop(bi); err != nil {
 			return err
 		}
-		i += adv
 	}
 	e.flushSegment(e.threads[:1], false)
 	return nil
@@ -341,29 +332,30 @@ func (e *engine) runWorker(bi *bInstr, ti, n, T int64) {
 	t.loopRange(bi, bi.lo+lo, bi.lo+hi)
 }
 
+// coreAgg is one core's share of a segment: its threads' summed compute
+// and stall cycles and how many threads it ran.
+type coreAgg struct {
+	compute float64
+	stall   float64
+	k       int
+}
+
 // flushSegment converts the threads' accumulated segment costs into elapsed
 // cycles, applies the SMT-overlap and bandwidth models, resets the
 // accumulators, and folds statistics into the result.
 func (e *engine) flushSegment(threads []*threadCtx, parallel bool) {
 	// Per-core grouping: thread t runs on core t % coresUsed.
-	type coreAgg struct {
-		compute float64
-		stall   float64
-		k       int
-	}
-	cores := make(map[int]*coreAgg)
+	cores := e.cores
+	clear(cores)
 	var segBytes uint64
 	empty := true
 	for _, t := range threads {
+		t.cost.fold(e.rows)
 		c := t.cost.computeCycles(e.m.IssueWidth)
 		if c > 0 || t.cost.stall > 0 {
 			empty = false
 		}
-		ca := cores[t.id%e.coresUsed]
-		if ca == nil {
-			ca = &coreAgg{}
-			cores[t.id%e.coresUsed] = ca
-		}
+		ca := &cores[t.id%e.coresUsed]
 		ca.compute += c
 		ca.stall += t.cost.stall
 		ca.k++
@@ -379,9 +371,15 @@ func (e *engine) flushSegment(threads []*threadCtx, parallel bool) {
 	}
 
 	// SMT model: a core's threads share issue ports; stalls overlap with
-	// the sibling threads' compute. T_core = max(C, (C+S)/k).
+	// the sibling threads' compute. T_core = max(C, (C+S)/k). Cores are
+	// walked in index order, so of two cores that tie on T_core the lower
+	// one is critical and decides ComputeCycles.
 	var coreMax, critC float64
-	for _, ca := range cores {
+	for i := range cores {
+		ca := &cores[i]
+		if ca.k == 0 {
+			continue
+		}
 		tc := ca.compute
 		if alt := (ca.compute + ca.stall) / float64(ca.k); alt > tc {
 			tc = alt

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,16 +10,17 @@ import (
 	"ninjagap/internal/vm"
 )
 
-// Differential property test for superinstruction fusion: randomly
-// generated vector-loop nests are executed twice — once with the default
-// fused dispatch and once with NoFuse — and the two runs must agree
-// exactly: the full exec.Result field for field and every array element
-// bit for bit (NaNs included, hence the Float64bits comparison). The
-// generator mixes the shapes fusion pairs (loads feeding arithmetic,
-// arithmetic feeding stores and gathers) with strided, gathered, scattered,
-// non-affine and aliasing accesses, short and long trips, and parallel
-// loops, so fused handlers run against the unfused pairs they replace in
-// many charge and cache-state contexts.
+// Differential property test for the scalar handlers: randomly generated
+// vector-loop nests are executed twice — once on the handlers bind picks
+// and once with every instruction rebound to its op's generic handler —
+// and the two runs must agree exactly: the full exec.Result field for
+// field and every array element bit for bit (NaNs included, hence the
+// Float64bits comparison). The generator mixes scalar loads, stores,
+// arithmetic, compares and FMAs (some on loop-carried chains) with vector
+// arithmetic and strided, gathered, scattered, non-affine and aliasing
+// accesses, short and long trips, and parallel loops, so the scalar
+// handlers run against their generic references in many charge,
+// predication and cache-state contexts.
 
 // fuzzCase is one generated program plus the array shapes it needs.
 type fuzzCase struct {
@@ -38,9 +38,9 @@ type fuzzCase struct {
 // tame restricts generation to unit-stride accesses at offset-only bases,
 // with no gathers or scatters. Wild cases keep the full op mix:
 // multi-stride loads, induction gathers/scatters, non-affine floor'd
-// indices, aliasing stores.
+// indices, aliasing stores. Both emit scalar (lane-0) work.
 func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
-	b := vm.NewBuilder("fusefuzz")
+	b := vm.NewBuilder("handlerfuzz")
 	names := []string{"a0", "a1", "a2"}[:1+r.Intn(3)]
 	elemB := map[string]int{}
 	arrID := map[string]int{}
@@ -68,8 +68,8 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 		// one iteration stores may be loaded or stored by another, or the
 		// final arrays would depend on the interleaving. Such a loop reads
 		// only arrays it does not write, and writes each of its arrays
-		// through exactly one unit-stride store at i+off or one induction
-		// scatter. It needs two arrays to do both.
+		// through exactly one unit-stride or scalar store at i+off or one
+		// induction scatter. It needs two arrays to do both.
 		par := r.Intn(4) == 0 && len(names) > 1
 		var i int
 		if par {
@@ -146,7 +146,7 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 		}
 		load()
 		for k, nOps := 0, 2+r.Intn(8); k < nOps; k++ {
-			kind := r.Intn(10)
+			kind := r.Intn(14)
 			if tame && (kind == 6 || kind == 7 || kind == 9) {
 				kind = r.Intn(6) // arith, unary, FMA or another load
 			}
@@ -189,6 +189,34 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 				}
 				need(nm, hiIter)
 				b.Scatter(arrID[nm], pick(), i)
+			case 10: // scalar arithmetic or compare
+				ops := []vm.Op{vm.OpAdd, vm.OpSub, vm.OpMul, vm.OpMin, vm.OpMax,
+					vm.OpCmpLT, vm.OpCmpLE, vm.OpCmpGT, vm.OpCmpGE, vm.OpCmpEQ, vm.OpCmpNE}
+				vals = append(vals, b.Scalar2(ops[r.Intn(len(ops))], pick(), pick()))
+				if r.Intn(4) == 0 {
+					b.MarkCarried()
+				}
+			case 11: // scalar FMA
+				d := b.Reg()
+				b.Emit(vm.Instr{Op: vm.OpFMA, Dst: d, A: pick(), B: pick(), C: pick(),
+					Scalar: true, Carried: r.Intn(4) == 0})
+				vals = append(vals, d)
+			case 12: // scalar load
+				nm := readArr()
+				base, hi := mkBase(false)
+				need(nm, hi)
+				vals = append(vals, b.LoadScalar(arrID[nm], base))
+				if r.Intn(4) == 0 {
+					b.MarkCarried()
+				}
+			case 13: // scalar store
+				nm := writeArr()
+				if nm == "" {
+					break
+				}
+				base, hi := mkBase(par)
+				need(nm, hi)
+				b.StoreScalar(arrID[nm], pick(), base)
 			}
 		}
 		// Always store something so the loop's work is observable. In a
@@ -207,16 +235,16 @@ func genFuzzCase(r *rand.Rand, tame bool) fuzzCase {
 }
 
 // TestMacroblockDifferentialFuzz runs the generator above over 120 seeds
-// (25 with -short). The name predates the removal of macro-block replay,
-// which this test once compared against interpretation; it is kept so the
-// test's history stays under one name. It now checks fused dispatch.
+// (25 with -short). The name predates the removal of macro-block replay
+// and then of superinstruction fusion, which this test compared against
+// plain interpretation in turn; it is kept so the test's history and its
+// seed subtests stay under one name. It now checks the scalar handlers.
 func TestMacroblockDifferentialFuzz(t *testing.T) {
 	trials := 120
 	if testing.Short() {
 		trials = 25
 	}
 	m := machine.WestmereX980()
-	before := FusedInstrs()
 	engaged := 0
 	for seed := 0; seed < trials; seed++ {
 		seed := seed
@@ -235,48 +263,33 @@ func TestMacroblockDifferentialFuzz(t *testing.T) {
 				}
 				fill[nm] = d
 			}
-			run := func(noFuse bool) (*Result, map[string][]float64) {
+			run := func(generic bool) (*Result, int, map[string]*vm.Array) {
 				arrays := map[string]*vm.Array{}
 				for nm, n := range fc.sizes {
 					a := vm.NewArray(nm, fc.elemB[nm], n)
 					copy(a.Data, fill[nm])
 					arrays[nm] = a
 				}
-				res, err := Run(fc.prog, arrays, m, Options{Threads: fc.threads, NoFuse: noFuse})
-				if err != nil {
-					t.Fatalf("NoFuse=%t: %v", noFuse, err)
-				}
-				out := map[string][]float64{}
-				for nm, a := range arrays {
-					out[nm] = a.Data
-				}
-				return res, out
+				res, k := runBound(t, fc.prog, arrays, m, Options{Threads: fc.threads}, generic)
+				return res, k, arrays
 			}
 
-			f0 := FusedInstrs()
-			fusedRes, fusedArr := run(false)
-			if FusedInstrs() != f0 {
+			boundRes, k, boundArr := run(false)
+			if k > 0 {
 				engaged++
 			}
-			plainRes, plainArr := run(true)
-			if !reflect.DeepEqual(fusedRes, plainRes) {
-				t.Errorf("result diverged\nfused:  %+v\nnofuse: %+v", fusedRes, plainRes)
+			genericRes, _, genericArr := run(true)
+			if !reflect.DeepEqual(boundRes, genericRes) {
+				t.Errorf("result diverged\nbound:   %+v\ngeneric: %+v", boundRes, genericRes)
 			}
-			for nm := range fusedArr {
-				a, b := fusedArr[nm], plainArr[nm]
-				for j := range a {
-					if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-						t.Fatalf("array %s[%d] diverged: fused=%v (%#x) nofuse=%v (%#x)",
-							nm, j, a[j], math.Float64bits(a[j]), b[j], math.Float64bits(b[j]))
-					}
-				}
-			}
+			diffArrays(t, boundArr, genericArr)
 		})
 	}
-	// The bit-identity above is vacuous if no generated program fused.
-	if FusedInstrs() == before {
-		t.Errorf("no generated case executed a fused superinstruction — the generator no longer produces fusable pairs")
+	// The bit-identity above is vacuous if no generated program bound a
+	// scalar handler.
+	if engaged == 0 {
+		t.Errorf("no generated case bound a scalar handler — the generator no longer emits scalar work")
 	} else {
-		t.Logf("fusion engaged on %d of %d cases", engaged, trials)
+		t.Logf("scalar handlers bound in %d of %d cases", engaged, trials)
 	}
 }

@@ -30,10 +30,6 @@ type threadCtx struct {
 	lastDRAM  uint64
 	err       error
 	whileIter uint64 // runaway-loop guard
-	// nFused counts dynamic instructions executed through fused
-	// superinstruction handlers; folded into the process-wide counter when
-	// the context is released (see fuse.go).
-	nFused uint64
 	// cursors is one cache.LineCursor per bound instruction: scalar loads
 	// and stores touch their line through the cursor, so tight scalar walks
 	// (merge loops, ray marches) that stay on one line skip the set probe
@@ -80,23 +76,20 @@ func (t *threadCtx) popMask() {
 }
 
 // exec runs one arena span; it stops early if an error was recorded. Each
-// instruction dispatches through its pre-bound handler, and a fused
-// superinstruction advances past the pair it covers (fuse is the number of
-// trailing instructions the handler already executed).
+// instruction dispatches through its pre-bound handler.
 func (t *threadCtx) exec(s vm.Span) {
 	ins := t.e.bp.instrs
-	for i := s.Start; i < s.End; {
+	for i := s.Start; i < s.End; i++ {
 		if t.err != nil {
 			return
 		}
 		bi := &ins[i]
 		bi.fn(t, bi)
-		i += 1 + int32(bi.fuse)
 	}
 }
 
 // handlerFn executes one bound instruction on a thread. Handlers are
-// assigned at bind time (one specialized func per op, see handlers), so
+// assigned at bind time (one specialized func per op, see bindHandler), so
 // dispatch is a single indirect call instead of a switch over every op.
 type handlerFn func(*threadCtx, *bInstr)
 
@@ -153,8 +146,31 @@ var handlers = [vm.NumOps]handlerFn{
 	vm.OpIfMask:    hIfMask,
 }
 
-// handlerFor resolves an op's handler, defaulting to the unimplemented-op
-// diagnostic.
+// scalarHandlers maps the hot ops to handlers for one-lane instances:
+// no lane loop and no active-lane count (activeFor(1) is 1). About three
+// quarters of the instructions the suite dispatches are one lane wide,
+// and one-lane instances of these ops are about 70% of all of them. Each
+// must equal its generic handler at w == 1, which stays as the reference
+// (TestScalarHandlersMatchGeneric).
+var scalarHandlers = [vm.NumOps]handlerFn{
+	vm.OpAdd:   hAddS,
+	vm.OpSub:   hSubS,
+	vm.OpMul:   hMulS,
+	vm.OpMin:   hMinS,
+	vm.OpMax:   hMaxS,
+	vm.OpFMA:   hFMAS,
+	vm.OpCmpLT: hCmpLTS,
+	vm.OpCmpLE: hCmpLES,
+	vm.OpCmpGT: hCmpGTS,
+	vm.OpCmpGE: hCmpGES,
+	vm.OpCmpEQ: hCmpEQS,
+	vm.OpCmpNE: hCmpNES,
+	vm.OpLoad:  hLoadS,
+	vm.OpStore: hStoreS,
+}
+
+// handlerFor resolves an op's generic handler, defaulting to the
+// unimplemented-op diagnostic.
 func handlerFor(op vm.Op) handlerFn {
 	if int(op) < len(handlers) {
 		if fn := handlers[op]; fn != nil {
@@ -162,6 +178,18 @@ func handlerFor(op vm.Op) handlerFn {
 		}
 	}
 	return hUnimpl
+}
+
+// bindHandler picks a bound instruction's dispatch target: the op's scalar
+// handler when the instruction is one lane wide and there is one, its
+// generic handler otherwise.
+func bindHandler(bi *bInstr) handlerFn {
+	if bi.w == 1 && int(bi.op) < len(scalarHandlers) {
+		if fn := scalarHandlers[bi.op]; fn != nil {
+			return fn
+		}
+	}
+	return handlerFor(bi.op)
 }
 
 func hNop(t *threadCtx, bi *bInstr) {}
@@ -235,7 +263,7 @@ func hFMA(t *threadCtx, bi *bInstr) {
 	if bi.hasChB {
 		t.cost.add(bi.chB)
 	}
-	t.cost.stall += bi.carriedStall
+	t.addCarried(bi)
 	t.cost.flops += 2 * uint64(t.activeFor(w))
 }
 
@@ -520,6 +548,63 @@ func hMaskMov(t *threadCtx, bi *bInstr) {
 
 func hHorizontal(t *threadCtx, bi *bInstr) { t.horizontal(bi, bi.w) }
 
+// Scalar handlers (see scalarHandlers). Each is its generic counterpart
+// with w == 1 substituted.
+
+func hAddS(t *threadCtx, bi *bInstr) {
+	t.reg(bi.dst)[0] = t.reg(bi.a)[0] + t.reg(bi.b)[0]
+	t.finishScalarArith(bi)
+}
+
+func hSubS(t *threadCtx, bi *bInstr) {
+	t.reg(bi.dst)[0] = t.reg(bi.a)[0] - t.reg(bi.b)[0]
+	t.finishScalarArith(bi)
+}
+
+func hMulS(t *threadCtx, bi *bInstr) {
+	t.reg(bi.dst)[0] = t.reg(bi.a)[0] * t.reg(bi.b)[0]
+	t.finishScalarArith(bi)
+}
+
+func hMinS(t *threadCtx, bi *bInstr) {
+	t.reg(bi.dst)[0] = math.Min(t.reg(bi.a)[0], t.reg(bi.b)[0])
+	t.finishScalarArith(bi)
+}
+
+func hMaxS(t *threadCtx, bi *bInstr) {
+	t.reg(bi.dst)[0] = math.Max(t.reg(bi.a)[0], t.reg(bi.b)[0])
+	t.finishScalarArith(bi)
+}
+
+func hFMAS(t *threadCtx, bi *bInstr) {
+	a, b, c := t.reg(bi.a)[0], t.reg(bi.b)[0], t.reg(bi.c)[0]
+	t.reg(bi.dst)[0] = a*b + c
+	t.cost.add(bi.ch)
+	if bi.hasChB {
+		t.cost.add(bi.chB)
+	}
+	t.addCarried(bi)
+	t.cost.flops += 2
+}
+
+// setCmpS writes a scalar compare's 0/1 result and charges it.
+func (t *threadCtx) setCmpS(bi *bInstr, v bool) {
+	d := t.reg(bi.dst)
+	if v {
+		d[0] = 1
+	} else {
+		d[0] = 0
+	}
+	t.cost.add(bi.ch)
+}
+
+func hCmpLTS(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] < t.reg(bi.b)[0]) }
+func hCmpLES(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] <= t.reg(bi.b)[0]) }
+func hCmpGTS(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] > t.reg(bi.b)[0]) }
+func hCmpGES(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] >= t.reg(bi.b)[0]) }
+func hCmpEQS(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] == t.reg(bi.b)[0]) }
+func hCmpNES(t *threadCtx, bi *bInstr) { t.setCmpS(bi, t.reg(bi.a)[0] != t.reg(bi.b)[0]) }
+
 func hLoad(t *threadCtx, bi *bInstr) { t.load(bi, bi.w) }
 
 func hStore(t *threadCtx, bi *bInstr) { t.store(bi, bi.w) }
@@ -541,12 +626,28 @@ func hIf(t *threadCtx, bi *bInstr) { t.branch(bi) }
 func hIfMask(t *threadCtx, bi *bInstr) { t.ifMask(bi) }
 
 // finishArith accounts a binary arithmetic op: its pre-bound charge, useful
-// flops when it is FP work, and the loop-carried stall (pre-computed; zero
-// when not carried).
+// flops when it is FP work, and the loop-carried stall.
 func (t *threadCtx) finishArith(bi *bInstr, w int) {
 	t.cost.add(bi.ch)
 	t.cost.flops += uint64(bi.flopsMul * t.activeFor(w))
-	t.cost.stall += bi.carriedStall
+	t.addCarried(bi)
+}
+
+// finishScalarArith is finishArith at w == 1.
+func (t *threadCtx) finishScalarArith(bi *bInstr) {
+	t.cost.add(bi.ch)
+	t.cost.flops += uint64(bi.flopsMul)
+	t.addCarried(bi)
+}
+
+// addCarried adds the instruction's pre-computed loop-carried stall. Most
+// instructions are not carried and the stall is 0; skipping that add is
+// bit-identical, since stall starts at +0 and only gains non-negative
+// terms (it is never -0, and x + 0 == x).
+func (t *threadCtx) addCarried(bi *bInstr) {
+	if bi.carriedStall != 0 {
+		t.cost.stall += bi.carriedStall
+	}
 }
 
 // activeFor returns the number of active lanes clipped to an op width.

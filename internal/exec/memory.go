@@ -71,14 +71,7 @@ func (t *threadCtx) load(bi *bInstr, w int) {
 	eb := bi.eb
 
 	if w == 1 {
-		if base < 0 || base >= int64(len(arr.Data)) {
-			t.boundsErr(bi, base)
-			return
-		}
-		d[0] = arr.Data[base]
-		t.cost.add(bi.ch)
-		t.cost.stall += bi.carriedStall
-		t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*eb), false, bi.mlp)
+		hLoadS(t, bi)
 		return
 	}
 
@@ -96,7 +89,7 @@ func (t *threadCtx) load(bi *bInstr, w int) {
 		if bi.alignCheck && base%int64(w) != 0 {
 			t.cost.add(bi.chB) // realign penalty
 		}
-		t.cost.stall += bi.carriedStall
+		t.addCarried(bi)
 		first := t.e.lineOf(arr.Base + uint64(base)*eb)
 		last := t.e.lineOf(arr.Base + uint64(base+int64(w)-1)*eb)
 		t.accessRun(first, last, false, bi.mlp)
@@ -157,10 +150,25 @@ func (t *threadCtx) slowLoad(bi *bInstr, w int, base int64) {
 	default:
 		t.gatherCost(nl)
 	}
-	t.cost.stall += bi.carriedStall
+	t.addCarried(bi)
 	for i := 0; i < nl; i++ {
 		t.touchLineMLP(lines[i], false, bi.mlp)
 	}
+}
+
+// hLoadS is the scalar load, and load's w == 1 path: lane 0 reads
+// arr[base], touching its line through the instruction's cursor.
+func hLoadS(t *threadCtx, bi *bInstr) {
+	arr := bi.arr
+	base := int64(t.reg(bi.a)[0])
+	if base < 0 || base >= int64(len(arr.Data)) {
+		t.boundsErr(bi, base)
+		return
+	}
+	t.reg(bi.dst)[0] = arr.Data[base]
+	t.cost.add(bi.ch)
+	t.addCarried(bi)
+	t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*bi.eb), false, bi.mlp)
 }
 
 // store implements OpStore: lane l writes arr[base + l*stride] (masked).
@@ -171,13 +179,7 @@ func (t *threadCtx) store(bi *bInstr, w int) {
 	eb := bi.eb
 
 	if w == 1 {
-		if base < 0 || base >= int64(len(arr.Data)) {
-			t.boundsErr(bi, base)
-			return
-		}
-		arr.Data[base] = v[0]
-		t.cost.add(bi.ch)
-		t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*eb), true, bi.mlp)
+		hStoreS(t, bi)
 		return
 	}
 
@@ -197,6 +199,20 @@ func (t *threadCtx) store(bi *bInstr, w int) {
 		return
 	}
 	t.slowStore(bi, w, base)
+}
+
+// hStoreS is the scalar store, and store's w == 1 path: lane 0 writes
+// arr[base], touching its line through the instruction's cursor.
+func hStoreS(t *threadCtx, bi *bInstr) {
+	arr := bi.arr
+	base := int64(t.reg(bi.b)[0])
+	if base < 0 || base >= int64(len(arr.Data)) {
+		t.boundsErr(bi, base)
+		return
+	}
+	arr.Data[base] = t.reg(bi.a)[0]
+	t.cost.add(bi.ch)
+	t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*bi.eb), true, bi.mlp)
 }
 
 // slowStore is the general (masked / strided / scattering) vector-store path.
@@ -283,7 +299,7 @@ func (t *threadCtx) gather(bi *bInstr, w int) {
 		}
 	}
 	t.gatherCost(nl)
-	t.cost.stall += bi.carriedStall
+	t.addCarried(bi)
 	// A carried gather serializes with the previous iteration, but its own
 	// lanes' misses still overlap with each other.
 	mlp := bi.mlp
@@ -341,8 +357,10 @@ func (t *threadCtx) scatter(bi *bInstr, w int) {
 
 // gatherCost charges the port cost of gathering from nl distinct lines.
 // With hardware gather the instruction is line-rate limited; without it,
-// every active element pays the extract-load-insert sequence. The cost rows
-// are engine-level constants (looked up once per run).
+// every active element pays the extract-load-insert sequence. The costs
+// are engine-level constants (looked up once per run), and the charge goes
+// to port and classes directly, since its occupancy depends on the live
+// mask or the line count.
 func (t *threadCtx) gatherCost(nl int) {
 	act := t.act
 	if act == 0 {
@@ -354,13 +372,11 @@ func (t *threadCtx) gatherCost(nl int) {
 			occ = 1
 		}
 		t.cost.port[t.e.loadPort] += occ
-		t.cost.dyn++
 		t.cost.classes[machine.OpGatherElem]++
 		return
 	}
 	c := t.e.gatherC
 	t.cost.port[c.Port] += c.Occupancy(act)
-	t.cost.dyn += uint64(act)
 	t.cost.classes[machine.OpGatherElem] += uint64(act)
 }
 
@@ -375,12 +391,10 @@ func (t *threadCtx) scatterCost(nl int) {
 			occ = 1
 		}
 		t.cost.port[t.e.storePort] += occ
-		t.cost.dyn++
 		t.cost.classes[machine.OpScatterElem]++
 		return
 	}
 	c := t.e.scatterC
 	t.cost.port[c.Port] += c.Occupancy(act)
-	t.cost.dyn += uint64(act)
 	t.cost.classes[machine.OpScatterElem] += uint64(act)
 }

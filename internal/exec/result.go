@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"ninjagap/internal/cache"
 	"ninjagap/internal/machine"
@@ -23,13 +24,6 @@ type Options struct {
 	// DisablePrefetch turns the hardware prefetcher off regardless of the
 	// machine features (ablation E9).
 	DisablePrefetch bool
-
-	// NoFuse disables bind-time superinstruction fusion (see fuse.go).
-	// Fused dispatch is bit-identical to unfused dispatch by construction,
-	// so the flag changes wall-clock only; it exists for the differential
-	// tests and the dispatch speed gate and is not part of any cache
-	// identity.
-	NoFuse bool
 }
 
 // Result reports a simulated run.
@@ -93,31 +87,62 @@ func (r *Result) Speedup(other *Result) float64 {
 	return other.Seconds / r.Seconds
 }
 
-// costAcc accumulates per-segment cost on one thread. Dynamic issue slots
-// are not tracked separately: every charge issues exactly one slot, so the
-// slot count is dyn (converted to float64 where cycle math needs it).
+// costAcc accumulates per-segment cost on one thread. Bound charges are
+// counted per charge row (n, indexed by rowID) and turned into port cycles
+// and class counts only when the segment flushes (fold); the gather and
+// scatter charges, whose occupancy depends on the live mask or the line
+// count, go to port and classes directly. Dynamic issue slots are not
+// tracked separately: every charge issues exactly one slot, so the slot
+// count is the sum of the class counts (dyn).
 type costAcc struct {
+	n       [math.MaxUint8 + 1]uint64 // bound charges per charge row
 	port    [machine.NumPorts]float64
 	stall   float64 // memory + dependence + branch stall cycles
-	dyn     uint64
 	flops   uint64
 	classes [machine.NumOpClasses]uint64
 }
 
 func (c *costAcc) reset() { *c = costAcc{} }
 
-// add accounts one dynamic instruction with a pre-bound charge row: port
-// occupancy, one issue slot, one class count. This is the bound-program
-// equivalent of the old charge(class, lanes).
-func (c *costAcc) add(ch chargeRow) {
-	c.port[ch.port] += ch.occ
-	c.dyn++
-	c.classes[ch.class]++
+// add accounts one dynamic instruction with a pre-bound charge row.
+func (c *costAcc) add(r rowID) { c.n[r]++ }
+
+// fold adds the row counts into port occupancy (count x occupancy) and
+// class counts, once per segment; the caller resets the accumulator after
+// using it.
+//
+// Folding at the flush, instead of adding each charge's occupancy as it
+// issues, gives bit-identical port cycles. Every occupancy the shipped cost
+// tables produce is a multiple of 1/4 cycle (int-ALU 0.25, branch 0.5,
+// everything else integral; per-element gathers and scatters multiply by
+// whole lane counts), which TestOccupanciesAreQuarterCycles pins. So every
+// partial sum of a segment's port charges, and every count x occupancy, is
+// exact in float64, and the sum is the same in any order. Stalls are not
+// such multiples (carried stalls are 0.6 x latency, miss penalties are
+// divided by the MLP), which is why stall stays a running sum in dynamic
+// order.
+func (c *costAcc) fold(rows []chargeRow) {
+	for i, r := range rows {
+		if n := c.n[i]; n != 0 {
+			c.port[r.port] += float64(n) * r.occ
+			c.classes[r.class] += n
+		}
+	}
 }
 
-// computeCycles returns the port/issue-bound compute time of the segment.
+// dyn returns the segment's dynamic instruction count.
+func (c *costAcc) dyn() uint64 {
+	var d uint64
+	for _, n := range c.classes {
+		d += n
+	}
+	return d
+}
+
+// computeCycles returns the port/issue-bound compute time of a folded
+// segment.
 func (c *costAcc) computeCycles(issueWidth int) float64 {
-	t := float64(c.dyn) / float64(issueWidth)
+	t := float64(c.dyn()) / float64(issueWidth)
 	for _, p := range c.port {
 		if p > t {
 			t = p
@@ -126,14 +151,24 @@ func (c *costAcc) computeCycles(issueWidth int) float64 {
 	return t
 }
 
-// addInto merges this accumulator into result aggregates.
+// addInto merges a folded accumulator into result aggregates.
 func (c *costAcc) addInto(r *Result) {
 	for i := range c.port {
 		r.PortCycles[i] += c.port[i]
 	}
-	r.DynInstrs += c.dyn
+	r.DynInstrs += c.dyn()
 	r.Flops += c.flops
 	for i := range c.classes {
 		r.ClassCounts[i] += c.classes[i]
 	}
 }
+
+// FusedInstrs always returns 0. Superinstruction fusion was removed; the
+// function remains only because the benchmark module still reports a
+// fused-instruction fraction from it.
+func FusedInstrs() uint64 { return 0 }
+
+// ReplayedInstrs always returns 0. The engine interprets every
+// instruction; the function remains only because the benchmark module
+// still reports a replayed-instruction fraction from it.
+func ReplayedInstrs() uint64 { return 0 }

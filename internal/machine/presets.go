@@ -58,7 +58,35 @@ func ByName(name string) (*Machine, error) {
 	if p := presetNamed(name); p != nil {
 		return p.build(), nil
 	}
-	return nil, fmt.Errorf("machine: unknown machine %q", name)
+	return nil, unknownMachine(name)
+}
+
+// presetNames lists the presets in All's order.
+var presetNames = func() []string {
+	out := make([]string, len(presets))
+	for i := range presets {
+		out[i] = presets[i].name
+	}
+	return out
+}()
+
+// PresetNames returns the preset names in All's order, without building
+// a machine. The slice is shared: callers must not modify it.
+func PresetNames() []string { return presetNames }
+
+// PresetFingerprint returns the named preset's fingerprint, the value
+// ByName(name).Fingerprint() returns, from the preset table: computed
+// once per process, and with no machine built on later calls.
+func PresetFingerprint(name string) (uint64, error) {
+	if p := presetNamed(name); p != nil {
+		_, fp := p.pristine()
+		return fp, nil
+	}
+	return 0, unknownMachine(name)
+}
+
+func unknownMachine(name string) error {
+	return fmt.Errorf("machine: unknown machine %q", name)
 }
 
 // Default cost tables. The numbers are calibrated against published

@@ -225,7 +225,7 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 		return nil, reject(CodeLimit, "%v", err)
 	}
 	b := kernels.FromKernel(k, canonical)
-	machines, err := resolveMachines(req.Machines)
+	ids, err := presetIDs(req.Machines)
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +234,14 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 		return nil, err
 	}
 	// Rejections are never memoized, so a hit is a kernel that compiled
-	// at every requested level: it needs no compile.
-	key := memoKey(b, machines, versions)
+	// at every requested level: it needs no compile, and no machine.
+	key := memoKeyOf(b, ids, versions)
 	if body, ok := s.lookup(key); ok {
 		return &Outcome{Body: body, Key: key, MemoHit: true}, nil
+	}
+	machines, err := resolveMachines(req.Machines)
+	if err != nil {
+		return nil, err
 	}
 	// Compile every requested level before any cell binds: a kernel the
 	// compiler rejects is a structured 422. (A loop the vectorizer merely
@@ -336,7 +340,32 @@ func resolveVersions(names []string) ([]kernels.Version, error) {
 	return out, nil
 }
 
-// memoKey forms the response-memo identity:
+// machineID is what the response-memo key holds of one machine.
+type machineID struct {
+	name string
+	fp   uint64
+}
+
+// presetIDs resolves preset names, defaulting to every preset in the
+// canonical order, to their memo-key identities. Each fingerprint comes
+// from the machine package's once-per-process preset table, so no machine
+// is built: a memo hit never needs one.
+func presetIDs(names []string) ([]machineID, error) {
+	if len(names) == 0 {
+		names = machine.PresetNames()
+	}
+	out := make([]machineID, len(names))
+	for i, name := range names {
+		fp, err := machine.PresetFingerprint(name)
+		if err != nil {
+			return nil, reject(CodeBadRequest, "%v", err)
+		}
+		out[i] = machineID{name: name, fp: fp}
+	}
+	return out, nil
+}
+
+// memoKeyOf forms the response-memo identity:
 //
 //	ninjagap-submit/v1|<sha256(canonical)>|m=<name:fp,...>|v=<versions>|<cell schema>
 //
@@ -346,19 +375,28 @@ func resolveVersions(names []string) ([]kernels.Version, error) {
 // trailing gap.CellSchema ties the response to the engine/entry format
 // it embeds — an engine format bump invalidates memoized submit
 // responses along with their cells.
-func memoKey(b *kernels.Submitted, machines []*machine.Machine, versions []kernels.Version) string {
+func memoKeyOf(b *kernels.Submitted, ids []machineID, versions []kernels.Version) string {
+	// size bounds the key's length, so the key is one allocation.
+	size := len(Schema) + len(b.SourceHash()) + len(gap.CellSchema) + 8
+	for _, id := range ids {
+		size += len(id.name) + 18
+	}
+	for _, v := range versions {
+		size += len(v.String()) + 1
+	}
 	var sb strings.Builder
+	sb.Grow(size)
 	sb.WriteString(Schema)
 	sb.WriteByte('|')
 	sb.WriteString(b.SourceHash())
 	sb.WriteString("|m=")
-	for i, m := range machines {
+	for i, id := range ids {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
 		var hex [16]byte
-		fp := strconv.AppendUint(hex[:0], m.Fingerprint(), 16)
-		sb.WriteString(m.Name)
+		fp := strconv.AppendUint(hex[:0], id.fp, 16)
+		sb.WriteString(id.name)
 		sb.WriteByte(':')
 		sb.WriteString("0000000000000000"[len(fp):])
 		sb.Write(fp)
