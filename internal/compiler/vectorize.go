@@ -2,10 +2,22 @@ package compiler
 
 import (
 	"fmt"
+	"sort"
 
 	"ninjagap/internal/lang"
 	"ninjagap/internal/vm"
 )
+
+// sortedNames returns a map's keys in sorted order, for the loops whose
+// map order would otherwise reach the emitted program or a report.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // forLoop compiles a For statement, deciding whether to parallelize and/or
 // vectorize it, and records the decision in the report.
@@ -347,7 +359,7 @@ func (c *cg) legality(st lang.For) (bool, string) {
 	carried := readBeforeWrite(st.Body)
 	delete(carried, st.Var)
 	reds := reductionLets(st.Body, carried)
-	for name := range carried {
+	for _, name := range sortedNames(carried) {
 		if _, ok := reds[name]; !ok && !simd {
 			return false, fmt.Sprintf("loop-carried scalar dependence on %q", name)
 		}
@@ -610,7 +622,7 @@ func (c *cg) declareParallelReduce(body []lang.Stmt, carried map[string]bool, va
 	reds := reductionLets(body, carried)
 	var op vm.Op = vm.OpNop
 	var regs []int
-	for name := range carried {
+	for _, name := range sortedNames(carried) {
 		vi := c.vars[name]
 		if vi == nil {
 			continue // defined inside the loop body: thread-private
@@ -703,8 +715,11 @@ func (c *cg) compileVectorLoop(st lang.For, parallel bool, lr *LoopReport) error
 		vc.hoisted[key] = c.b.Broadcast(out)
 	}
 
-	// Vector accumulators, created before the loop opens.
-	for name, op := range redOps {
+	// Vector accumulators, created before the loop opens. Names are
+	// walked in sorted order here and below, so a kernel always compiles
+	// to the same program.
+	for _, name := range sortedNames(redOps) {
+		op := redOps[name]
 		vi := c.vars[name]
 		if vi == nil {
 			continue // loop-local accumulator (e.g. defined in an outer body only)
@@ -751,7 +766,8 @@ func (c *cg) compileVectorLoop(st lang.For, parallel bool, lr *LoopReport) error
 	}
 
 	// Fold vector accumulators back into their scalar homes.
-	for name, red := range vc.reductions {
+	for _, name := range sortedNames(vc.reductions) {
+		red := vc.reductions[name]
 		vi := c.vars[name]
 		switch red.op {
 		case vm.OpAdd:

@@ -44,10 +44,25 @@ func (t *threadCtx) loopRange(bi *bInstr, lo, hi int64) {
 		}
 		t.setInduction(bi.dst, float64(i))
 		if (i-lo)%unroll == 0 {
-			t.cost.add(bi.ch)  // induction update
-			t.cost.add(bi.chB) // back-edge (predicted)
+			t.chargeLoopIter(bi)
 		}
 		t.exec(bi.body)
+	}
+}
+
+// chargeLoopIter charges one charged iteration of a loop: the induction
+// update and the (predicted) back-edge. A loop with Unroll u is charged
+// every u-th iteration.
+func (t *threadCtx) chargeLoopIter(bi *bInstr) {
+	t.cost.add(bi.ch)
+	t.cost.add(bi.chB)
+}
+
+// addMissStall adds a branch's expected misprediction stall, skipping the
+// add when it is 0 (bit-identical, as in addCarried).
+func (t *threadCtx) addMissStall(bi *bInstr) {
+	if bi.missStall != 0 {
+		t.cost.stall += bi.missStall
 	}
 }
 
@@ -65,8 +80,7 @@ func (t *threadCtx) vecLoopRange(bi *bInstr, lo, hi int64, unroll int) {
 			d[l] = float64(base + l)
 		}
 		if trip%int64(unroll) == 0 {
-			t.cost.add(bi.ch)
-			t.cost.add(bi.chB)
+			t.chargeLoopIter(bi)
 		}
 		trip++
 		if base+W <= hi {
@@ -110,9 +124,7 @@ func (t *threadCtx) while(bi *bInstr) {
 			return
 		}
 		t.cost.add(bi.ch)
-		if bi.missStall != 0 {
-			t.cost.stall += bi.missStall
-		}
+		t.addMissStall(bi)
 		t.pushMask(m)
 		t.exec(bi.body)
 		t.popMask()
@@ -122,9 +134,7 @@ func (t *threadCtx) while(bi *bInstr) {
 // branch executes a scalar if/else on lane 0 of the condition.
 func (t *threadCtx) branch(bi *bInstr) {
 	t.cost.add(bi.ch)
-	if bi.missStall != 0 {
-		t.cost.stall += bi.missStall
-	}
+	t.addMissStall(bi)
 	if t.regs[bi.a] != 0 {
 		t.exec(bi.body)
 	} else {

@@ -47,6 +47,17 @@ func (r *GapResult) headline(v kernels.Version) {
 // in suite order from the index-ordered results, so the rendered figure
 // is identical at every job count.
 func ladder(m *machine.Machine, cfg Config, vs ...kernels.Version) (*GapResult, error) {
+	rs, err := ladders([]*machine.Machine{m}, cfg, vs...)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// ladders is ladder on several machines in one batch, so the scheduler
+// sees every machine's cells at once and shares the serial ones' runs.
+// rs[k] is machine ms[k]'s figure.
+func ladders(ms []*machine.Machine, cfg Config, vs ...kernels.Version) ([]*GapResult, error) {
 	bs, err := cfg.benches()
 	if err != nil {
 		return nil, err
@@ -62,16 +73,29 @@ func ladder(m *machine.Machine, cfg Config, vs ...kernels.Version) (*GapResult, 
 		withNinja = append(withNinja, kernels.Ninja)
 	}
 	var cells []Cell
-	for _, b := range bs {
-		n := SizeFor(b, cfg)
-		for _, v := range withNinja {
-			cells = append(cells, Cell{Bench: b, Version: v, Machine: m, N: n})
+	for _, m := range ms {
+		for _, b := range bs {
+			n := SizeFor(b, cfg)
+			for _, v := range withNinja {
+				cells = append(cells, Cell{Bench: b, Version: v, Machine: m, N: n})
+			}
 		}
 	}
-	ms, err := cfg.scheduler().Run(cfg.context(), cells)
+	res, err := cfg.scheduler().Run(cfg.context(), cells)
 	if err != nil {
 		return nil, err
 	}
+	per := len(bs) * len(withNinja)
+	rs := make([]*GapResult, len(ms))
+	for k, m := range ms {
+		rs[k] = gapRows(m, bs, withNinja, res[k*per:(k+1)*per])
+	}
+	return rs, nil
+}
+
+// gapRows assembles one machine's gap figure from its cells' results,
+// laid out benchmark by benchmark, versions in withNinja's order.
+func gapRows(m *machine.Machine, bs []kernels.Benchmark, withNinja []kernels.Version, ms []*Measurement) *GapResult {
 	res := &GapResult{Machine: m.Name}
 	for bi, b := range bs {
 		row := GapRow{Bench: b.Name(),
@@ -90,7 +114,7 @@ func ladder(m *machine.Machine, cfg Config, vs ...kernels.Version) (*GapResult, 
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res
 }
 
 // Fig1NinjaGap reproduces Figure 1: the Ninja gap (naive serial C vs
@@ -131,13 +155,19 @@ type TrendResult struct {
 
 // Fig2Trend reproduces Figure 2: the growth of the unaddressed Ninja gap
 // across processor generations (naive serial vs ninja on each machine).
+//
+// Every machine's cells go to the scheduler as one batch, so each naive
+// kernel runs once for all the machines that still need it (a suite pass
+// has already measured Westmere's for table1).
 func Fig2Trend(cfg Config) (*TrendResult, error) {
+	ms := machine.All()
+	rs, err := ladders(ms, cfg, kernels.Naive)
+	if err != nil {
+		return nil, err
+	}
 	out := &TrendResult{}
-	for _, m := range machine.All() {
-		r, err := ladder(m, cfg, kernels.Naive)
-		if err != nil {
-			return nil, err
-		}
+	for k, m := range ms {
+		r := rs[k]
 		r.headline(kernels.Naive)
 		out.Points = append(out.Points, TrendPoint{
 			Machine: m.Name, Year: m.Year, AvgGap: r.AvgGap, MaxGap: r.MaxGap,

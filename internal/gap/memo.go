@@ -135,6 +135,21 @@ func (mo *Memo) do(ctx context.Context, key cellKey, f func() (*Measurement, err
 	}
 }
 
+// cached reports whether key has an entry in memory, computed or in
+// flight, or on the attached disk: a request for it would compute nothing.
+func (mo *Memo) cached(key cellKey) bool {
+	mo.mu.Lock()
+	_, ok := mo.entries[key]
+	mo.mu.Unlock()
+	if ok {
+		return true
+	}
+	if d := mo.getDisk(); d != nil {
+		return d.s.Has(key.String())
+	}
+	return false
+}
+
 // isContextErr reports whether err is (or wraps) a context cancellation
 // or deadline error.
 func isContextErr(err error) bool {

@@ -2,9 +2,11 @@ package gap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 
 	"ninjagap/internal/exec"
@@ -79,6 +81,12 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	if err != nil {
 		return nil, err
 	}
+	return runCell(ctx, c, inst, skipCheck)
+}
+
+// runCell is measureCell after Prepare: it runs and validates a prepared
+// instance of c.
+func runCell(ctx context.Context, c Cell, inst *kernels.Instance, skipCheck bool) (*Measurement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -86,21 +94,93 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	res, err := exec.Run(inst.Prog, inst.Arrays, c.Machine,
 		exec.Options{Threads: threads, DisablePrefetch: c.DisablePrefetch})
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s on %s: %w", c.Bench.Name(), c.Version, c.Machine.Name, err)
+		return nil, runErr(c, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if !skipCheck {
 		if err := inst.Check(); err != nil {
-			return nil, fmt.Errorf("%s/%s on %s: functional check failed: %w",
-				c.Bench.Name(), c.Version, c.Machine.Name, err)
+			return nil, checkErr(c, err)
 		}
 	}
+	return measurement(c, threads, res, inst), nil
+}
+
+// runErr and checkErr name the cell an execution or validation error
+// belongs to.
+func runErr(c Cell, err error) error {
+	return fmt.Errorf("%s/%s on %s: %w", c.Bench.Name(), c.Version, c.Machine.Name, err)
+}
+
+func checkErr(c Cell, err error) error {
+	return fmt.Errorf("%s/%s on %s: functional check failed: %w",
+		c.Bench.Name(), c.Version, c.Machine.Name, err)
+}
+
+// measurement assembles a validated cell's Measurement.
+func measurement(c Cell, threads int, res *exec.Result, inst *kernels.Instance) *Measurement {
 	return &Measurement{
 		Bench: c.Bench.Name(), Version: c.Version, Machine: c.Machine.Name, N: c.N,
 		Threads: threads, Res: res, Inst: retained(inst),
-	}, nil
+	}
+}
+
+// measureShared measures the cells of one group (see Scheduler.plan) with
+// one Prepare, one exec.RunShared across their machines and one Check:
+// ms[i] and errs[i] are what measureCell would return for cells[i]. The
+// first cell's machine prepares the program; for a version other than
+// Ninja, Prepare compiles the same program and inputs for every machine
+// (TestPrepareMachineIndependent). When the program cannot be shared it
+// measures cells[0] alone, leaves the rest unmeasured and reports shared
+// false, so the caller measures them alone too.
+func measureShared(ctx context.Context, cells []Cell, skipCheck bool) (ms []*Measurement, errs []error, shared bool) {
+	ms = make([]*Measurement, len(cells))
+	errs = make([]error, len(cells))
+	each := func(f func(c Cell) error) ([]*Measurement, []error, bool) {
+		for i, c := range cells {
+			errs[i] = f(c)
+		}
+		return ms, errs, true
+	}
+	c0 := cells[0]
+	if err := ctx.Err(); err != nil {
+		return each(func(Cell) error { return err })
+	}
+	inst, err := c0.Bench.Prepare(c0.Version, c0.Machine, c0.N)
+	if err != nil {
+		return each(func(Cell) error { return err })
+	}
+	if err := ctx.Err(); err != nil {
+		return each(func(Cell) error { return err })
+	}
+	machines := make([]*machine.Machine, len(cells))
+	for i, c := range cells {
+		machines[i] = c.Machine
+	}
+	res, err := exec.RunShared(inst.Prog, inst.Arrays, machines,
+		exec.Options{Threads: 1, DisablePrefetch: c0.DisablePrefetch})
+	if errors.Is(err, exec.ErrNotShared) {
+		pprof.Do(ctx, pprof.Labels("machine", c0.Machine.Name), func(ctx context.Context) {
+			ms[0], errs[0] = runCell(ctx, c0, inst, skipCheck)
+		})
+		return ms, errs, false
+	}
+	if err != nil {
+		return each(func(c Cell) error { return runErr(c, err) })
+	}
+	if err := ctx.Err(); err != nil {
+		return each(func(Cell) error { return err })
+	}
+	if !skipCheck {
+		if err := inst.Check(); err != nil {
+			return each(func(c Cell) error { return checkErr(c, err) })
+		}
+	}
+	for i, c := range cells {
+		ms[i] = measurement(c, 1, res[i], inst)
+	}
+	return ms, errs, true
 }
 
 // retained is the part of a run's instance that outlives the run: the
@@ -116,9 +196,10 @@ func retained(inst *kernels.Instance) *kernels.Instance {
 }
 
 // Scheduler fans measurement cells out across a bounded goroutine pool,
-// serving repeated cells from a memo cache. Results are returned in input
-// order regardless of completion order, so every figure renders
-// byte-identically at any job count.
+// serving repeated cells from a memo cache, and measures the serial cells
+// of one kernel on several machines with one shared run (see plan).
+// Results are returned in input order regardless of completion order, so
+// every figure renders byte-identically at any job count.
 type Scheduler struct {
 	jobs      int
 	memo      *Memo
@@ -197,6 +278,208 @@ func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurem
 	})
 }
 
+// measureGroup is measureShared under pprof labels naming the group's
+// bench, version and every machine ("Core2Quad+NehalemI7+..."), so
+// profiles keep attributing a shared run's samples.
+func (s *Scheduler) measureGroup(ctx context.Context, cells []Cell) (ms []*Measurement, errs []error, shared bool) {
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		names[i] = c.Machine.Name
+	}
+	pprof.Do(ctx, pprof.Labels(
+		"bench", cells[0].Bench.Name(),
+		"version", cells[0].Version.String(),
+		"machine", strings.Join(names, "+"),
+	), func(ctx context.Context) {
+		ms, errs, shared = measureShared(ctx, cells, s.skipCheck)
+	})
+	return ms, errs, shared
+}
+
+// work is one item of a batch: one cell, or a group of cells measured
+// with one shared run (see plan).
+type work struct {
+	cell  int
+	group []int // cell indices, in cell order; nil for a single cell
+}
+
+// plan turns a batch into work items in cell order. Serial cells of one
+// compiled kernel on different machines share one run (exec.RunShared)
+// and form one item, placed at its first member: cells whose keys agree
+// on everything but the machine (bench, version, N, prefetch flag; the
+// check mode is the scheduler's), on one thread, at a version other than
+// Ninja (whose Prepare builds machine-specific code), that are neither in
+// the memo nor on disk now. A group needs two members. Every other cell,
+// including a repeat of a member's key, is an item of its own, so a batch
+// never computes a cell it was not given and a lone cell runs as before.
+func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
+	items := make([]work, 0, len(cells))
+	var cand []int
+	for i, c := range cells {
+		if keys[i].Threads == 1 && c.Version != kernels.Ninja {
+			cand = append(cand, i)
+		}
+	}
+	var groups map[int][]int // first member -> members
+	if len(cand) > 1 {
+		taken := make([]bool, len(cells))
+		for a, i := range cand {
+			if taken[i] {
+				continue
+			}
+			members := []int{i}
+			for _, j := range cand[a+1:] {
+				if taken[j] || !sameProgram(keys[i], keys[j]) {
+					continue
+				}
+				taken[j] = true
+				if !hasMachine(keys, members, keys[j].Machine) {
+					members = append(members, j)
+				}
+			}
+			if len(members) < 2 {
+				continue
+			}
+			uncached := members[:0]
+			for _, j := range members {
+				if !s.memo.cached(keys[j]) {
+					uncached = append(uncached, j)
+				}
+			}
+			if len(uncached) < 2 {
+				continue
+			}
+			if groups == nil {
+				groups = map[int][]int{}
+			}
+			groups[uncached[0]] = uncached
+			for _, j := range uncached[1:] {
+				groups[j] = nil // placed in its group's item
+			}
+		}
+	}
+	for i := range cells {
+		g, ok := groups[i]
+		switch {
+		case !ok:
+			items = append(items, work{cell: i})
+		case g != nil:
+			items = append(items, work{cell: i, group: g})
+		}
+	}
+	return items
+}
+
+// sameProgram reports whether two serial cells' keys agree on everything
+// but the machine.
+func sameProgram(a, b cellKey) bool {
+	return a.Bench == b.Bench && a.Version == b.Version && a.N == b.N &&
+		a.Threads == b.Threads && a.NoPrefetch == b.NoPrefetch && a.Skip == b.Skip
+}
+
+// hasMachine reports whether one of the cells at idx has machine signature sig.
+func hasMachine(keys []cellKey, idx []int, sig string) bool {
+	for _, i := range idx {
+		if keys[i].Machine == sig {
+			return true
+		}
+	}
+	return false
+}
+
+// batch is one Run in progress: its cells and keys, their result and
+// error slates, and the batch context with its cancel.
+type batch struct {
+	s       *Scheduler
+	ctx     context.Context
+	cancel  context.CancelFunc
+	cells   []Cell
+	keys    []cellKey
+	results []*Measurement
+	errs    []error
+}
+
+// run measures one work item.
+func (b *batch) run(it work) {
+	if it.group != nil {
+		b.runGroup(it.group)
+		return
+	}
+	b.measureOne(it.cell)
+}
+
+// measureOne measures cell i through the memo, or marks it with the
+// cancellation cause once the batch has failed.
+func (b *batch) measureOne(i int) {
+	if b.ctx.Err() != nil {
+		b.errs[i] = context.Cause(b.ctx)
+		return
+	}
+	m, err := b.s.measure(b.ctx, b.cells[i], b.keys[i])
+	b.settle(i, m, err)
+}
+
+// skip marks an item's cells, never handed to a worker, with the
+// cancellation cause.
+func (b *batch) skip(it work) {
+	if it.group == nil {
+		b.errs[it.cell] = context.Cause(b.ctx)
+		return
+	}
+	for _, i := range it.group {
+		b.errs[i] = context.Cause(b.ctx)
+	}
+}
+
+// settle records cell i's outcome; a failure cancels the rest of the
+// batch.
+func (b *batch) settle(i int, m *Measurement, err error) {
+	if err != nil {
+		b.errs[i] = err
+		b.cancel()
+		return
+	}
+	b.results[i] = m
+}
+
+// runGroup measures a group's members through the memo in cell order,
+// each looked up (and on a miss stored, on disk too) exactly as measure
+// would, so memo misses, persisted entries and error texts are those of
+// cells measured alone. The first member the memo has to compute measures
+// it and every later member with one shared run; the later members'
+// lookups take their results from it. If the program cannot be shared,
+// that member is measured alone and so is every later one.
+func (b *batch) runGroup(members []int) {
+	var (
+		ms     []*Measurement
+		errs   []error
+		from   = -1 // position in members of the first computed member
+		shared bool
+	)
+	for j, i := range members {
+		if from >= 0 && !shared {
+			b.measureOne(i)
+			continue
+		}
+		if b.ctx.Err() != nil {
+			b.errs[i] = context.Cause(b.ctx)
+			continue
+		}
+		m, err := b.s.memo.do(b.ctx, b.keys[i], func() (*Measurement, error) {
+			if from < 0 {
+				from = j
+				cells := make([]Cell, 0, len(members)-j)
+				for _, k := range members[j:] {
+					cells = append(cells, b.cells[k])
+				}
+				ms, errs, shared = b.s.measureGroup(b.ctx, cells)
+			}
+			return ms[j-from], errs[j-from]
+		})
+		b.settle(i, m, err)
+	}
+}
+
 // errsPool recycles Run's per-batch error slates. The experiment drivers
 // call Run once per figure row and almost every batch finishes clean, so
 // without the pool the all-nil slices are pure churn.
@@ -214,9 +497,10 @@ func getErrs(n int) *[]error {
 }
 
 // Run measures every cell and returns results in cell order: results[i]
-// belongs to cells[i]. The first failing cell (by input order) cancels
-// the remaining work via ctx and is returned as the error; cells already
-// in flight finish, cells not yet started are skipped.
+// belongs to cells[i]. Serial cells of one kernel on several machines
+// share one simulated run (see plan). The first failing cell (by input
+// order) cancels the remaining work via ctx and is returned as the error;
+// cells already in flight finish, cells not yet started are skipped.
 func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -226,74 +510,56 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 		return results, nil
 	}
 	keys := s.keys(cells)
+	items := s.plan(cells, keys)
 	errsp := getErrs(len(cells))
 	defer errsPool.Put(errsp)
-	errs := *errsp
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	b := &batch{s: s, ctx: ctx, cancel: cancel, cells: cells, keys: keys,
+		results: results, errs: *errsp}
 
 	// Serial fast path: with one worker there is nothing to fan out, so
-	// the cells run inline on this goroutine — no channel handoff, no
+	// the items run inline on this goroutine — no channel handoff, no
 	// worker pool — with exactly the pooled path's per-cell error
 	// accounting (a failure cancels ctx; later cells are marked with the
 	// cancellation cause and skipped).
-	if s.workers(len(cells)) == 1 {
-		for i := range cells {
-			if ctx.Err() != nil {
-				errs[i] = context.Cause(ctx)
-				continue
-			}
-			m, err := s.measure(ctx, cells[i], keys[i])
-			if err != nil {
-				errs[i] = err
-				cancel()
-				continue
-			}
-			results[i] = m
+	if s.workers(len(items)) == 1 {
+		for _, it := range items {
+			b.run(it)
 		}
-		return collect(ctx, results, errs)
+		return collect(ctx, results, b.errs)
 	}
 
-	idx := make(chan int)
+	feed := make(chan work)
 	var wg sync.WaitGroup
-	for w := 0; w < s.workers(len(cells)); w++ {
+	for w := 0; w < s.workers(len(items)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					errs[i] = context.Cause(ctx)
-					continue
-				}
-				m, err := s.measure(ctx, cells[i], keys[i])
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				results[i] = m
+			for it := range feed {
+				b.run(it)
 			}
 		}()
 	}
 	feeding := true
-	for i := 0; i < len(cells); i++ {
+	for _, it := range items {
 		if feeding {
 			select {
-			case idx <- i:
+			case feed <- it:
 				continue
 			case <-ctx.Done():
 				feeding = false
 			}
 		}
-		// Unfed cells were never handed to a worker; mark them with the
-		// cancellation cause so the error scan below sees the whole batch
-		// accounted for.
-		errs[i] = context.Cause(ctx)
+		// Unfed items were never handed to a worker; mark their cells
+		// with the cancellation cause so the error scan below sees the
+		// whole batch accounted for.
+		b.skip(it)
 	}
-	close(idx)
+	close(feed)
 	wg.Wait()
-	return collect(ctx, results, errs)
+	return collect(ctx, results, b.errs)
 }
 
 // collect applies the deterministic error-reporting policy to a finished

@@ -22,17 +22,7 @@ func CellKeyString(c Cell, skipCheck bool) string {
 // compute the cell between probe and run) but that race only ever
 // overcounts pending work, never undercounts a cache hit's cost.
 func CellCached(c Cell, skipCheck bool) bool {
-	key := c.key(skipCheck)
-	sharedMemo.mu.Lock()
-	_, ok := sharedMemo.entries[key]
-	sharedMemo.mu.Unlock()
-	if ok {
-		return true
-	}
-	if d := sharedMemo.getDisk(); d != nil {
-		return d.s.Has(key.String())
-	}
-	return false
+	return sharedMemo.cached(c.key(skipCheck))
 }
 
 // PersistentStore returns the blob store behind the attached -cache-dir
