@@ -6,8 +6,10 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"ninjagap/internal/machine"
@@ -38,15 +40,6 @@ func (l Level) String() string {
 		return "DRAM"
 	}
 	return fmt.Sprintf("level(%d)", int(l))
-}
-
-// Result describes how one access was served.
-type Result struct {
-	Level        Level   // level that had the line (Mem if none)
-	Latency      float64 // load-to-use latency of that level in cycles
-	PrefetchHit  bool    // line was present only because the prefetcher fetched it
-	DRAMBytes    int     // bytes moved to/from DRAM on behalf of this access
-	WritebackHit bool    // a dirty line was written back during this access
 }
 
 // line is one way of one set: 24 bytes, the two 64-bit words first and
@@ -138,22 +131,19 @@ func (l *level) ways(set uint64) []line {
 	return l.lines[base : base+uint64(l.assoc)]
 }
 
-// lookup probes the level. On hit it refreshes LRU and returns the line.
-func (l *level) lookup(addr uint64, demand bool) (hit bool, wasPrefetch bool) {
+// lookup probes the level without a demand: on a hit it refreshes LRU
+// and leaves the prefetch and dirty bits alone.
+func (l *level) lookup(addr uint64) bool {
 	set, tag := l.index(addr)
 	l.clock++
 	ways := l.ways(set)
 	for i := range ways {
 		if ways[i].gen == l.gen && ways[i].tag == tag {
 			ways[i].lastUse = l.clock
-			wasPrefetch = ways[i].prefetch
-			if demand {
-				ways[i].prefetch = false
-			}
-			return true, wasPrefetch
+			return true
 		}
 	}
-	return false, false
+	return false
 }
 
 // fill inserts a line, evicting LRU. It reports whether a dirty line was
@@ -193,10 +183,9 @@ func (l *level) markDirty(addr uint64) {
 	}
 }
 
-// probeDemand is the merged demand probe: one set walk that refreshes LRU,
-// claims a prefetched line, and dirties on write — the combined effect of
-// lookup(addr, true) followed by markDirty(addr), in one pass. Counters are
-// the caller's job, exactly as with lookup.
+// probeDemand is the demand probe: one set walk that refreshes LRU,
+// claims a prefetched line, and dirties on write. Counters are the
+// caller's job.
 func (l *level) probeDemand(addr uint64, write bool) (hit, wasPrefetch bool) {
 	set, tag := l.index(addr)
 	l.clock++
@@ -219,12 +208,24 @@ func (l *level) probeDemand(addr uint64, write bool) (hit, wasPrefetch bool) {
 // Private levels are exclusive to the owner; the shared LLC is modeled as a
 // per-core capacity partition (capacity interference without coherence
 // traffic), which is the granularity the paper's working-set arguments use.
+//
+// A hierarchy can lead others (see Lead): its L1 and prefetcher then decide
+// every follower's L1 hits, and each event below its L1 reaches every
+// follower's lower levels too.
 type Hierarchy struct {
 	levels    []*level
 	pf        *prefetcher
+	front     Front
 	lineBytes int
 	dramBytes uint64
 	memLat    float64
+
+	followers []*Hierarchy // attached by Lead
+	lead      *Hierarchy   // the hierarchy this one follows, if any
+	// missLvl and missLat are what a follower's lower levels served its
+	// leader's latest L1 demand miss with (see LastMiss).
+	missLvl Level
+	missLat float64
 }
 
 // Config controls hierarchy construction.
@@ -238,26 +239,54 @@ type Config struct {
 	PrefetchDegree int
 }
 
+// Front is what decides which accesses hit L1: the L1 geometry, after the
+// shared-capacity split, and the prefetcher, which fills L1. Hierarchies
+// with equal fronts see the same L1 hits, prefetch fills and dirty L1
+// evictions for one demand stream, whatever lies below their L1; the L1
+// latency is not part of it.
+type Front struct {
+	SizeBytes, Assoc, LineBytes int
+	PrefetchDegree              int // 0 without a prefetcher
+}
+
+// FrontOf returns the front of the hierarchy New(m, cfg) builds (the
+// zero Front for a machine without caches, which fails validation).
+func FrontOf(m *machine.Machine, cfg Config) Front {
+	if len(m.Caches) == 0 {
+		return Front{}
+	}
+	l1 := effective(m.Caches[0], cfg)
+	f := Front{SizeBytes: l1.SizeBytes, Assoc: l1.Assoc, LineBytes: l1.LineBytes}
+	if cfg.Prefetch {
+		f.PrefetchDegree = cfg.PrefetchDegree
+		if f.PrefetchDegree <= 0 {
+			f.PrefetchDegree = 2
+		}
+	}
+	return f
+}
+
+// effective returns a level's configuration with a shared level's
+// capacity divided among cfg.ShareFactor cores.
+func effective(cl machine.CacheLevel, cfg Config) machine.CacheLevel {
+	if cl.Shared && cfg.ShareFactor > 1 {
+		cl.SizeBytes /= cfg.ShareFactor
+		if cl.SizeBytes < cl.Assoc*cl.LineBytes {
+			cl.SizeBytes = cl.Assoc * cl.LineBytes
+		}
+	}
+	return cl
+}
+
 // New builds a hierarchy for the given machine model.
 func New(m *machine.Machine, cfg Config) *Hierarchy {
-	h := &Hierarchy{memLat: m.Mem.Latency}
+	h := &Hierarchy{memLat: m.Mem.Latency, front: FrontOf(m, cfg)}
 	for _, cl := range m.Caches {
-		eff := cl
-		if cl.Shared && cfg.ShareFactor > 1 {
-			eff.SizeBytes = cl.SizeBytes / cfg.ShareFactor
-			if eff.SizeBytes < eff.Assoc*eff.LineBytes {
-				eff.SizeBytes = eff.Assoc * eff.LineBytes
-			}
-		}
-		h.levels = append(h.levels, newLevel(eff))
+		h.levels = append(h.levels, newLevel(effective(cl, cfg)))
 	}
 	h.lineBytes = m.Caches[0].LineBytes
-	if cfg.Prefetch {
-		deg := cfg.PrefetchDegree
-		if deg <= 0 {
-			deg = 2
-		}
-		h.pf = newPrefetcher(deg, h.lineBytes)
+	if d := h.front.PrefetchDegree; d > 0 {
+		h.pf = newPrefetcher(d, h.lineBytes)
 	}
 	return h
 }
@@ -290,82 +319,102 @@ func (h *Hierarchy) LineBytes() int { return h.lineBytes }
 // DRAMBytes returns cumulative DRAM traffic (fills plus write-backs).
 func (h *Hierarchy) DRAMBytes() uint64 { return h.dramBytes }
 
-// Stats returns a snapshot of per-level statistics, L1 first.
+// Stats returns a snapshot of per-level statistics, L1 first. A
+// follower's L1 statistics are its leader's.
 func (h *Hierarchy) Stats() []LevelStats {
 	out := make([]LevelStats, len(h.levels))
 	for i, l := range h.levels {
 		out[i] = l.stats
+	}
+	if h.lead != nil {
+		out[0] = h.lead.levels[0].stats
 	}
 	return out
 }
 
 // Reset cold-starts the hierarchy for reuse: every level is invalidated
 // via its generation counter (O(1), no set scans), statistics and DRAM
-// traffic are zeroed, and the prefetcher forgets its streams. A reset
-// hierarchy is indistinguishable from a freshly built one.
+// traffic are zeroed, the prefetcher forgets its streams, and the
+// hierarchy is detached from its leader or followers. A reset hierarchy is
+// indistinguishable from a freshly built one.
 func (h *Hierarchy) Reset() {
+	h.Detach()
 	for _, l := range h.levels {
 		l.reset()
 	}
 	h.dramBytes = 0
+	h.missLvl, h.missLat = 0, 0
 	if h.pf != nil {
 		h.pf.reset()
 	}
 }
 
-// Access simulates one demand access to addr covering size bytes (the
-// engine splits vector accesses into per-line calls, so size never crosses
-// a line). write selects store semantics (write-allocate, write-back).
-//
-// The common case — an L1 hit — is inlined here as a fast path: one set
-// probe, an LRU timestamp refresh, and the exact same counter updates the
-// general walk performs (one clock tick, one access, one hit), so the
-// statistics and replacement state stay bit-identical to the slow path.
-func (h *Hierarchy) Access(addr uint64, write bool) Result {
-	var res Result
-	l0 := h.levels[0]
-	lineAddr := addr >> l0.offBits
-	set, tag := lineAddr&l0.setMask, lineAddr>>l0.tagShift
-	l0.stats.Accesses++
-	l0.clock++
-	hit := false
-	ways := l0.ways(set)
-	for i := range ways {
-		if ways[i].gen == l0.gen && ways[i].tag == tag {
-			ways[i].lastUse = l0.clock
-			if ways[i].prefetch {
-				ways[i].prefetch = false // first demand touch claims the line
-				l0.stats.PrefetchHits++
-				res.PrefetchHit = true
-			}
-			if write {
-				ways[i].dirty = true
-			}
-			hit = true
-			break
+// Errors Lead returns.
+var (
+	ErrFront    = errors.New("cache: follower's L1 front differs from its leader's")
+	ErrAttached = errors.New("cache: hierarchy already leads or follows")
+)
+
+// Lead attaches fs as h's followers, so that one L1 simulation serves
+// them all. A follower's L1 and prefetcher are never probed: h's decide
+// its L1 hits, and h forwards every event below its L1, in order, to
+// every follower's lower levels and DRAM counter: each demand miss, each
+// prefetch fill that missed L1, and each dirty L1 write-back. A follower's
+// L1 statistics are h's (Stats), and LastMiss reports what its own lower
+// levels served h's latest demand miss with. Attach fresh or Reset
+// hierarchies and drive only the leader; each follower then ends in the
+// state, statistics and DRAM traffic the same accesses would have left on
+// it alone. Lead refuses, attaching nothing, a follower whose Front
+// differs from h's (ErrFront), and any hierarchy that already leads or
+// follows (ErrAttached).
+func (h *Hierarchy) Lead(fs ...*Hierarchy) error {
+	if h.lead != nil || len(h.followers) > 0 {
+		return ErrAttached
+	}
+	for i, f := range fs {
+		err := ErrAttached
+		switch {
+		case f == h || f.lead != nil || len(f.followers) > 0:
+		case f.front != h.front:
+			err = ErrFront
+		default:
+			f.lead = h
+			continue
 		}
-	}
-	if hit {
-		l0.stats.Hits++
-		res.Level = L1
-		res.Latency = l0.latency
-	} else {
-		l0.stats.Misses++
-		res = h.accessFrom(1, addr, write)
-	}
-	if h.pf != nil {
-		for _, pa := range h.pf.observe(addr) {
-			h.prefetchFill(pa)
+		for _, g := range fs[:i] {
+			g.lead = nil
 		}
+		return err
 	}
-	return res
+	h.followers = append([]*Hierarchy(nil), fs...)
+	return nil
 }
 
-// AccessCost is the engine-facing fast path: identical simulation side
-// effects to Access, but it returns only the serving level and its latency
-// (two register-sized values instead of a Result struct), and it skips the
-// prefetcher table entirely for repeated touches of the stream's current
-// line — which by construction teach the prefetcher nothing.
+// Detach ends h's part in a leader/follower group: a follower leaves its
+// leader, a leader releases every follower.
+func (h *Hierarchy) Detach() {
+	if l := h.lead; l != nil {
+		l.followers = slices.DeleteFunc(l.followers, func(f *Hierarchy) bool { return f == h })
+		h.lead = nil
+	}
+	for _, f := range h.followers {
+		f.lead = nil
+	}
+	h.followers = nil
+}
+
+// LastMiss returns the level and latency that follower h's lower levels
+// served its leader's latest L1 demand miss with: the pair a solo h would
+// have returned for that access. (An access that hit the leader's L1 hit
+// every follower's L1 too.)
+func (h *Hierarchy) LastMiss() (Level, float64) { return h.missLvl, h.missLat }
+
+// AccessCost simulates one demand access to addr (the engine splits
+// vector accesses into per-line calls, so an access never crosses a line)
+// and returns the level that served it and that level's latency. write
+// selects store semantics (write-allocate, write-back). It skips the
+// prefetcher table for repeated touches of the stream's current line,
+// which by construction teach the prefetcher nothing.
 func (h *Hierarchy) AccessCost(addr uint64, write bool) (Level, float64) {
 	l0 := h.levels[0]
 	lineAddr := addr >> l0.offBits
@@ -412,13 +461,23 @@ func (h *Hierarchy) AccessCost(addr uint64, write bool) (Level, float64) {
 	return lvl, lat
 }
 
-// missCost resolves an access after the L1 probe missed: the cost-path
-// equivalent of accessFrom(1, addr, write), walking L2/L3 with the merged
-// single-pass set probe (probeDemand folds the LRU refresh, prefetch claim
-// and dirty bit into one way scan) and returning only the serving level and
-// latency. Counters, replacement state and DRAM traffic are identical to
-// the Result-building walk.
+// missCost resolves a demand access after the L1 probe missed: the levels
+// below L1 serve it (on every follower too), then the line fills L1.
 func (h *Hierarchy) missCost(addr uint64, write bool) (Level, float64) {
+	lvl, lat := h.lowerDemand(addr, write)
+	for _, f := range h.followers {
+		f.missLvl, f.missLat = f.lowerDemand(addr, write)
+	}
+	h.fillL1(addr, write, false)
+	return lvl, lat
+}
+
+// lowerDemand walks the levels below L1 for a demand access that missed
+// L1, with the single-pass set probe (probeDemand folds the LRU refresh,
+// prefetch claim and dirty bit into one way scan), and fills the levels
+// above the one that served it, down to L2. It returns the serving level
+// and its latency.
+func (h *Hierarchy) lowerDemand(addr uint64, write bool) (Level, float64) {
 	for i := 1; i < len(h.levels); i++ {
 		l := h.levels[i]
 		l.stats.Accesses++
@@ -427,20 +486,21 @@ func (h *Hierarchy) missCost(addr uint64, write bool) (Level, float64) {
 			if wasPF {
 				l.stats.PrefetchHits++
 			}
-			h.fillUpTo(i, addr, write)
+			h.fillBelowL1(i, addr, false)
 			return Level(i + 1), l.latency
 		}
 		l.stats.Misses++
 	}
 	h.dramBytes += uint64(h.lineBytes)
-	h.fillUpTo(len(h.levels), addr, write)
+	h.fillBelowL1(len(h.levels), addr, false)
 	return Mem, h.memLat
 }
 
 // AccessRun simulates n consecutive demand line accesses starting at the
 // line-aligned address line0 (the interpreter's unit-stride vector loads and
 // stores touch exactly such ascending runs). Side effects are identical to n
-// AccessCost calls in ascending line order. Read miss stalls are charged
+// AccessCost calls in ascending line order, followers' included (their
+// LastMiss is then the run's last miss). Read miss stalls are charged
 // into *stall per line — (latency - l1Lat)/mlp, added in line order — so the
 // float accumulation order matches the per-line caller exactly; write misses
 // charge no stall (store buffering), and neither do L1 hits (pipelined L1
@@ -498,49 +558,37 @@ func (h *Hierarchy) AccessRun(line0 uint64, n int, write bool, l1Lat, mlp float6
 	}
 }
 
-// accessFrom walks the hierarchy from level index `from` after the levels
-// above it missed; it fills every upper level on the way back.
-func (h *Hierarchy) accessFrom(from int, addr uint64, write bool) Result {
-	var res Result
-	for i := from; i < len(h.levels); i++ {
+// fillBelowL1 installs the line into levels [1, upto), deepest first, as
+// a non-demand (prefetched) line when prefetch is set; evicted dirty lines
+// are written back (to DRAM if evicted from the last level).
+func (h *Hierarchy) fillBelowL1(upto int, addr uint64, prefetch bool) {
+	for i := upto - 1; i >= 1; i-- {
 		l := h.levels[i]
-		l.stats.Accesses++
-		hit, wasPF := l.lookup(addr, true)
-		if hit {
-			l.stats.Hits++
-			if wasPF {
-				l.stats.PrefetchHits++
-				res.PrefetchHit = true
-			}
-			res.Level = Level(i + 1)
-			res.Latency = l.latency
-			if write {
-				l.markDirty(addr)
-			}
-			// Fill upper levels on a lower-level hit.
-			h.fillUpTo(i, addr, write)
-			return res
+		if prefetch {
+			l.stats.Prefetches++
 		}
-		l.stats.Misses++
-	}
-	// Missed everywhere: fetch from DRAM.
-	res.Level = Mem
-	res.Latency = h.memLat
-	res.DRAMBytes = h.lineBytes
-	h.dramBytes += uint64(h.lineBytes)
-	h.fillUpTo(len(h.levels), addr, write)
-	return res
-}
-
-// fillUpTo installs the line into levels [0, upto); evicted dirty lines are
-// written back (to DRAM if evicted from the last level).
-func (h *Hierarchy) fillUpTo(upto int, addr uint64, dirty bool) {
-	for i := upto - 1; i >= 0; i-- {
-		evDirty, evAddr := h.levels[i].fill(addr, dirty && i == 0, false)
-		if evDirty {
-			h.levels[i].stats.Writebacks++
+		if evDirty, evAddr := l.fill(addr, false, prefetch); evDirty {
+			l.stats.Writebacks++
 			h.writeback(i+1, evAddr)
 		}
+	}
+}
+
+// fillL1 installs the line into L1, the last level a fill reaches, and
+// writes an evicted dirty line back below L1, on every follower too.
+func (h *Hierarchy) fillL1(addr uint64, dirty, prefetch bool) {
+	l0 := h.levels[0]
+	if prefetch {
+		l0.stats.Prefetches++
+	}
+	evDirty, evAddr := l0.fill(addr, dirty, prefetch)
+	if !evDirty {
+		return
+	}
+	l0.stats.Writebacks++
+	h.writeback(1, evAddr)
+	for _, f := range h.followers {
+		f.writeback(1, evAddr)
 	}
 }
 
@@ -551,7 +599,7 @@ func (h *Hierarchy) writeback(from int, addr uint64) {
 		return
 	}
 	l := h.levels[from]
-	if hit, _ := l.lookup(addr, false); hit {
+	if l.lookup(addr) {
 		l.markDirty(addr)
 		return
 	}
@@ -567,14 +615,23 @@ func (h *Hierarchy) writeback(from int, addr uint64) {
 // prefetchFill brings a line into L1 (and lower levels) marked as
 // prefetched; it consumes DRAM bandwidth if the line was not cached.
 func (h *Hierarchy) prefetchFill(addr uint64) {
-	// If already in L1, nothing to do.
-	if hit, _ := h.levels[0].lookup(addr, false); hit {
+	if h.levels[0].lookup(addr) {
 		return
 	}
-	// Probe deeper levels without counting demand stats.
+	h.lowerPrefetch(addr)
+	for _, f := range h.followers {
+		f.lowerPrefetch(addr)
+	}
+	h.fillL1(addr, false, true)
+}
+
+// lowerPrefetch is a prefetch fill's part below L1: probe the lower levels
+// without counting demand statistics, fetch from DRAM if none has the
+// line, and fill the levels above the one that had it, down to L2.
+func (h *Hierarchy) lowerPrefetch(addr uint64) {
 	depth := len(h.levels)
 	for i := 1; i < len(h.levels); i++ {
-		if hit, _ := h.levels[i].lookup(addr, false); hit {
+		if h.levels[i].lookup(addr) {
 			depth = i
 			break
 		}
@@ -582,13 +639,5 @@ func (h *Hierarchy) prefetchFill(addr uint64) {
 	if depth == len(h.levels) {
 		h.dramBytes += uint64(h.lineBytes)
 	}
-	for i := depth - 1; i >= 0; i-- {
-		l := h.levels[i]
-		l.stats.Prefetches++
-		evDirty, evAddr := l.fill(addr, false, true)
-		if evDirty {
-			l.stats.Writebacks++
-			h.writeback(i+1, evAddr)
-		}
-	}
+	h.fillBelowL1(depth, addr, true)
 }

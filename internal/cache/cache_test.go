@@ -15,20 +15,18 @@ func westmere(t *testing.T, cfg Config) *Hierarchy {
 
 func TestColdMissThenHit(t *testing.T) {
 	h := westmere(t, Config{})
-	r := h.Access(0x1000, false)
-	if r.Level != Mem {
-		t.Fatalf("cold access served from %v, want DRAM", r.Level)
+	before := h.DRAMBytes()
+	if lvl, _ := h.AccessCost(0x1000, false); lvl != Mem {
+		t.Fatalf("cold access served from %v, want DRAM", lvl)
 	}
-	if r.DRAMBytes != 64 {
-		t.Fatalf("cold access DRAM bytes = %d, want 64", r.DRAMBytes)
+	if got := h.DRAMBytes() - before; got != 64 {
+		t.Fatalf("cold access DRAM bytes = %d, want 64", got)
 	}
-	r = h.Access(0x1000, false)
-	if r.Level != L1 {
-		t.Fatalf("second access served from %v, want L1", r.Level)
+	if lvl, _ := h.AccessCost(0x1000, false); lvl != L1 {
+		t.Fatalf("second access served from %v, want L1", lvl)
 	}
-	r = h.Access(0x1020, false) // same 64B line
-	if r.Level != L1 {
-		t.Fatalf("same-line access served from %v, want L1", r.Level)
+	if lvl, _ := h.AccessCost(0x1020, false); lvl != L1 { // same 64B line
+		t.Fatalf("same-line access served from %v, want L1", lvl)
 	}
 }
 
@@ -38,11 +36,10 @@ func TestL1EvictionFallsToL2(t *testing.T) {
 	// are multiples of 64*64 = 4096.
 	const setStride = 64 * 64
 	for i := 0; i < 9; i++ { // 9 lines into an 8-way set: one eviction
-		h.Access(uint64(i*setStride), false)
+		h.AccessCost(uint64(i*setStride), false)
 	}
-	r := h.Access(0, false) // first line was LRU-evicted from L1
-	if r.Level != L2 {
-		t.Fatalf("evicted line served from %v, want L2", r.Level)
+	if lvl, _ := h.AccessCost(0, false); lvl != L2 { // first line was LRU-evicted from L1
+		t.Fatalf("evicted line served from %v, want L2", lvl)
 	}
 }
 
@@ -50,14 +47,14 @@ func TestLRUOrder(t *testing.T) {
 	h := westmere(t, Config{})
 	const setStride = 64 * 64
 	for i := 0; i < 8; i++ {
-		h.Access(uint64(i*setStride), false)
+		h.AccessCost(uint64(i*setStride), false)
 	}
-	h.Access(0, false) // touch line 0: now line 1 is LRU
-	h.Access(uint64(8*setStride), false)
-	if r := h.Access(0, false); r.Level != L1 {
-		t.Errorf("recently used line evicted; served from %v", r.Level)
+	h.AccessCost(0, false) // touch line 0: now line 1 is LRU
+	h.AccessCost(uint64(8*setStride), false)
+	if lvl, _ := h.AccessCost(0, false); lvl != L1 {
+		t.Errorf("recently used line evicted; served from %v", lvl)
 	}
-	if r := h.Access(uint64(setStride), false); r.Level == L1 {
+	if lvl, _ := h.AccessCost(uint64(setStride), false); lvl == L1 {
 		t.Errorf("LRU line should have been evicted from L1")
 	}
 }
@@ -68,13 +65,13 @@ func TestWritebackTraffic(t *testing.T) {
 	// Dirty 8 lines in one L1 set, then stream enough lines through the
 	// whole hierarchy to force the dirty data to DRAM.
 	for i := 0; i < 8; i++ {
-		h.Access(uint64(i*setStride), true)
+		h.AccessCost(uint64(i*setStride), true)
 	}
 	before := h.DRAMBytes()
 	// Stream 2x the L3 partition size.
 	total := 2 * 12 << 20
 	for a := 1 << 28; a < 1<<28+total; a += 64 {
-		h.Access(uint64(a), false)
+		h.AccessCost(uint64(a), false)
 	}
 	wbs := uint64(0)
 	for _, s := range h.Stats() {
@@ -90,11 +87,11 @@ func TestWritebackTraffic(t *testing.T) {
 
 func TestStorePromotesDirty(t *testing.T) {
 	h := westmere(t, Config{})
-	h.Access(0x40, false) // clean fill
-	h.Access(0x40, true)  // store hit marks dirty
+	h.AccessCost(0x40, false) // clean fill
+	h.AccessCost(0x40, true)  // store hit marks dirty
 	const setStride = 64 * 64
 	for i := 1; i <= 8; i++ {
-		h.Access(uint64(0x40+i*setStride), false)
+		h.AccessCost(uint64(0x40+i*setStride), false)
 	}
 	wb := h.Stats()[0].Writebacks
 	if wb == 0 {
@@ -111,7 +108,7 @@ func TestSharedLLCPartitioning(t *testing.T) {
 	run := func(h *Hierarchy) float64 {
 		for pass := 0; pass < 3; pass++ {
 			for a := 0; a < ws; a += 64 {
-				h.Access(uint64(a), false)
+				h.AccessCost(uint64(a), false)
 			}
 		}
 		st := h.Stats()
@@ -130,7 +127,7 @@ func TestPrefetcherCoversUnitStride(t *testing.T) {
 	on := westmere(t, Config{Prefetch: true})
 	stream := func(h *Hierarchy) (demandMisses uint64) {
 		for a := 0; a < 1<<20; a += 4 {
-			h.Access(uint64(a), false)
+			h.AccessCost(uint64(a), false)
 		}
 		st := h.Stats()
 		return st[len(st)-1].Misses
@@ -151,7 +148,7 @@ func TestPrefetcherIgnoresRandom(t *testing.T) {
 	h := westmere(t, Config{Prefetch: true})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
-		h.Access(uint64(rng.Intn(1<<26))&^63, false)
+		h.AccessCost(uint64(rng.Intn(1<<26))&^63, false)
 	}
 	st := h.Stats()
 	if st[0].Prefetches > st[0].Accesses/4 {
@@ -164,7 +161,7 @@ func TestPrefetcherDetectsNegativeStride(t *testing.T) {
 	h := westmere(t, Config{Prefetch: true})
 	base := uint64(1 << 20)
 	for i := 0; i < 64; i++ {
-		h.Access(base-uint64(i*64), false)
+		h.AccessCost(base-uint64(i*64), false)
 	}
 	if h.Stats()[0].Prefetches == 0 {
 		t.Error("no prefetches issued for descending stream")
@@ -177,7 +174,7 @@ func TestStatsConservationProperty(t *testing.T) {
 		h := New(machine.WestmereX980(), Config{Prefetch: len(addrs)%2 == 0})
 		for i, a := range addrs {
 			w := i < len(writes) && writes[i]
-			h.Access(uint64(a), w)
+			h.AccessCost(uint64(a), w)
 		}
 		for _, s := range h.Stats() {
 			if s.Hits+s.Misses != s.Accesses {
@@ -200,7 +197,7 @@ func TestDeterminismProperty(t *testing.T) {
 		run := func() []LevelStats {
 			h := New(machine.WestmereX980(), Config{Prefetch: true})
 			for _, a := range addrs {
-				h.Access(uint64(a)*64, a%3 == 0)
+				h.AccessCost(uint64(a)*64, a%3 == 0)
 			}
 			return h.Stats()
 		}
@@ -224,7 +221,7 @@ func TestStreamingTrafficExact(t *testing.T) {
 	h := westmere(t, Config{})
 	lines := 10000
 	for i := 0; i < lines; i++ {
-		h.Access(uint64(i*64), false)
+		h.AccessCost(uint64(i*64), false)
 	}
 	want := uint64(lines * 64)
 	if got := h.DRAMBytes(); got != want {
@@ -248,19 +245,19 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessHit(b *testing.B) {
+func BenchmarkAccessCostHit(b *testing.B) {
 	h := New(machine.WestmereX980(), Config{})
-	h.Access(0, false)
+	h.AccessCost(0, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(0, false)
+		h.AccessCost(0, false)
 	}
 }
 
-func BenchmarkAccessStream(b *testing.B) {
+func BenchmarkAccessCostStream(b *testing.B) {
 	h := New(machine.WestmereX980(), Config{Prefetch: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*4), false)
+		h.AccessCost(uint64(i*4), false)
 	}
 }

@@ -102,25 +102,9 @@ func (t *threadCtx) vecLoopRange(bi *bInstr, lo, hi int64, unroll int) {
 // non-zero. Divergent lanes are masked off but still occupy the SIMD unit,
 // which is exactly the divergence cost the paper discusses.
 func (t *threadCtx) while(bi *bInstr) {
-	W := t.e.W
 	for {
-		if t.err != nil {
-			return
-		}
-		cond := t.reg(bi.a)
-		var m uint32
-		for l := 0; l < W; l++ {
-			if cond[l] != 0 {
-				m |= 1 << uint(l)
-			}
-		}
-		m &= t.mask
+		m := t.whileMask(bi)
 		if m == 0 {
-			return
-		}
-		t.whileIter++
-		if t.whileIter > maxWhileIters {
-			t.fail(fmt.Errorf("exec: prog %s: while loop exceeded %d iterations", t.e.prog.Name, uint64(maxWhileIters)))
 			return
 		}
 		t.cost.add(bi.ch)
@@ -129,6 +113,39 @@ func (t *threadCtx) while(bi *bInstr) {
 		t.exec(bi.body)
 		t.popMask()
 	}
+}
+
+// whileMask starts one iteration of a while: it returns the iteration's
+// mask, or 0 when the loop is done, the run has failed, or the runaway
+// guard trips (which fails the run).
+func (t *threadCtx) whileMask(bi *bInstr) uint32 {
+	if t.err != nil {
+		return 0
+	}
+	m := t.condMask(bi)
+	if m == 0 {
+		return 0
+	}
+	t.whileIter++
+	if t.whileIter > maxWhileIters {
+		t.fail(fmt.Errorf("exec: prog %s: while loop exceeded %d iterations", t.e.prog.Name, uint64(maxWhileIters)))
+		return 0
+	}
+	return m
+}
+
+// condMask returns the active lanes, of the machine's W, whose condition
+// register lane is non-zero.
+func (t *threadCtx) condMask(bi *bInstr) uint32 {
+	W := t.e.W
+	cond := t.reg(bi.a)
+	var m uint32
+	for l := 0; l < W; l++ {
+		if cond[l] != 0 {
+			m |= 1 << uint(l)
+		}
+	}
+	return m & t.mask
 }
 
 // branch executes a scalar if/else on lane 0 of the condition.
@@ -146,15 +163,7 @@ func (t *threadCtx) branch(bi *bInstr) {
 // body is skipped entirely (the "if none, jump over" idiom of real masked
 // SIMD code).
 func (t *threadCtx) ifMask(bi *bInstr) {
-	W := t.e.W
-	cond := t.reg(bi.a)
-	var m uint32
-	for l := 0; l < W; l++ {
-		if cond[l] != 0 {
-			m |= 1 << uint(l)
-		}
-	}
-	m &= t.mask
+	m := t.condMask(bi)
 	t.cost.add(bi.ch)
 	if m == 0 {
 		return

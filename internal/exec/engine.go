@@ -123,16 +123,10 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 	// costs and array references onto the flat instruction stream.
 	e.bp = e.bind(prog.Flatten())
 
-	nt := opt.Threads
-	if nt <= 0 {
-		nt = m.HWThreads()
-	}
-	e.coresUsed = nt
-	if e.coresUsed > m.Cores {
-		e.coresUsed = m.Cores
-	}
+	nt, cores, hc := layout(m, opt)
+	e.coresUsed = cores
 	e.cores = make([]coreAgg, e.coresUsed)
-	e.hc = cache.Config{ShareFactor: e.coresUsed, Prefetch: m.Feat.HWPrefetch && !opt.DisablePrefetch}
+	e.hc = hc
 	poolI, _ := threadPools.LoadOrStore(cache.Key(m, e.hc), &sync.Pool{})
 	e.pool = poolI.(*sync.Pool)
 	e.threads = make([]*threadCtx, 0, nt)
@@ -142,6 +136,18 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 	}
 	e.res.Threads = nt
 	return e, nil
+}
+
+// layout resolves a run's thread count (opt.Threads, or one per hardware
+// thread when 0), how many cores those threads occupy, and the cache
+// configuration of every thread: shared levels split among those cores.
+func layout(m *machine.Machine, opt Options) (threads, cores int, hc cache.Config) {
+	threads = opt.Threads
+	if threads <= 0 {
+		threads = m.HWThreads()
+	}
+	cores = min(threads, m.Cores)
+	return threads, cores, cache.Config{ShareFactor: cores, Prefetch: m.Feat.HWPrefetch && !opt.DisablePrefetch}
 }
 
 // lineOf rounds an address down to its cache-line base.

@@ -4,28 +4,31 @@ package exec
 // depend on the SIMD width computes the same registers, arrays, branch
 // outcomes and addresses on every machine; only the cost model differs.
 // RunShared runs such a program once and charges every machine's cost
-// model in lockstep with it, so a batch measuring one kernel on several
+// model along with it, so a batch measuring one kernel on several
 // machines dispatches and computes each instruction once instead of once
 // per machine.
 //
 // What is shared and what is not:
 //
-//   - The first machine (the leader) runs exactly as Run would run it: its
-//     thread context holds the registers, mutates the arrays and executes
-//     every instruction on the solo handlers, charging its own cost. Only
-//     loop and if, whose bodies must recurse into the lockstep dispatch,
-//     are rebound, to handlers that charge the leader as loopRange and
-//     branch do.
+//   - The first machine (the leader) runs exactly as Run would run it, on
+//     the solo dispatch loop (threadCtx.exec) and the solo handlers,
+//     charging its own cost. Only the instructions at which followers owe
+//     work are rebound, to handlers that run the solo handler's work and
+//     then the followers': loads, ops with a carried stall, and if, loop
+//     and while.
 //   - Every other machine (a follower) keeps its own engine: its own bound
-//     program, thread context, cache hierarchy, line cursors, charge
-//     counters, stall sum and segment flush. Charges are counted once per
-//     instruction index (stepInstr.n, stepInstr.ev) and expanded into each
-//     follower's row counters before its flushSegment (settle), which is
-//     exact for the reason costAcc.fold is: every occupancy is a multiple
-//     of 1/4 cycle. Stalls are not such multiples, so each follower adds
-//     its own carried, branch-miss and cache-miss stalls at the
-//     instruction that incurs them, in dynamic order, through the helpers
-//     the solo handlers use (addCarried, addMissStall, touchCursor).
+//     program, thread context, charge counters, stall sum and segment
+//     flush, and its own cache levels below L1. Its L1 is the leader's:
+//     all of them have one L1 front (cache.Front), so one L1 simulation
+//     decides every machine's hits, and the leader's hierarchy forwards
+//     each event below L1 to every follower's lower levels (cache.Lead).
+//   - Charges are counted per executed span (a loop body per iteration,
+//     an if's taken side, a while body per iteration) and expanded into
+//     each follower's row counters before its flushSegment (settle), which
+//     is exact for the reason costAcc.fold is: every occupancy is a
+//     multiple of 1/4 cycle. Stalls are not such multiples, so each
+//     follower adds its own carried, branch-miss and cache-miss stalls at
+//     the instruction that incurs them, in dynamic order.
 //
 // Each machine therefore sees exactly the events a solo run gives it, and
 // its Result is bit-identical to Run's (TestRunSharedMatchesRun).
@@ -33,27 +36,33 @@ package exec
 import (
 	"errors"
 
+	"ninjagap/internal/cache"
 	"ninjagap/internal/machine"
 	"ninjagap/internal/vm"
 )
 
 // ErrNotShared is returned, with nothing run, by RunShared when the run
 // cannot be shared: the program is not LaneIndependent, the options ask
-// for other than one thread, or a machine fails validation. The caller
-// then runs each machine alone.
+// for other than one thread, a machine fails validation, or the machines'
+// cache fronts differ (Front). The caller then runs each machine alone.
 var ErrNotShared = errors.New("exec: run cannot be shared across machines")
 
 // LaneIndependent reports whether prog's functional run is the same at
 // every SIMD width, so one run can drive several machines' cost models
 // (RunShared). That holds when every instruction is scalar, or is one of
 // nop, const, iota, broadcast and copy (which write all vm.MaxLanes lanes
-// at any width); loops are not vector loops; and if reads lane 0. while
-// and ifmask build their mask over the machine's lane count, a gather's
-// or scatter's charge reads the live mask, and shuffles, horizontal
-// reductions and mask moves read lanes by width, so any of them refuses.
-func LaneIndependent(prog *vm.Prog) bool { return laneIndependent(prog.Body) }
+// at any width); loops are not vector loops; if reads lane 0; and every
+// while tests a condition register that is zero above lane 0 throughout
+// the run (see laneWide), so its mask is lane 0's at any width. ifmask
+// builds its mask over the machine's lane count, a gather's or scatter's
+// charge reads the live mask, and shuffles, horizontal reductions and mask
+// moves read lanes by width, so any of them refuses.
+func LaneIndependent(prog *vm.Prog) bool {
+	wide := laneWide(prog)
+	return wide != nil && laneIndependent(prog.Body, wide)
+}
 
-func laneIndependent(body []vm.Instr) bool {
+func laneIndependent(body []vm.Instr, wide []bool) bool {
 	for i := range body {
 		in := &body[i]
 		switch in.Op {
@@ -62,7 +71,11 @@ func laneIndependent(body []vm.Instr) bool {
 			if in.Vec {
 				return false
 			}
-		case vm.OpWhile, vm.OpIfMask, vm.OpGather, vm.OpScatter, vm.OpShuffle,
+		case vm.OpWhile:
+			if in.A < 0 || in.A >= len(wide) || wide[in.A] {
+				return false
+			}
+		case vm.OpIfMask, vm.OpGather, vm.OpScatter, vm.OpShuffle,
 			vm.OpMaskMov, vm.OpHAdd, vm.OpHMin, vm.OpHMax:
 			return false
 		default:
@@ -70,33 +83,99 @@ func laneIndependent(body []vm.Instr) bool {
 				return false
 			}
 		}
-		if !laneIndependent(in.Body) || !laneIndependent(in.Else) {
+		if !laneIndependent(in.Body, wide) || !laneIndependent(in.Else, wide) {
 			return false
 		}
 	}
 	return true
 }
 
+// laneWide returns, per register, whether a lane above 0 may become
+// non-zero during a run (nil for a register count Validate refuses).
+// Registers start zeroed. A register stays zero above lane 0 when every
+// instruction that writes it is a scalar op that writes lane 0 alone, a
+// const 0, or a copy of a register that stays zero above lane 0. Any
+// other writer makes it wide: a non-zero const, an iota, a broadcast, a
+// loop induction (which fill every lane), and any op that is not scalar.
+func laneWide(prog *vm.Prog) []bool {
+	if prog.NumRegs <= 0 || prog.NumRegs > 1<<16 {
+		return nil
+	}
+	wide := make([]bool, prog.NumRegs)
+	mark := func(r int) bool {
+		if r < 0 || r >= len(wide) || wide[r] {
+			return false
+		}
+		wide[r] = true
+		return true
+	}
+	var copies [][2]int // {dst, src}
+	var walk func(body []vm.Instr)
+	walk = func(body []vm.Instr) {
+		for i := range body {
+			in := &body[i]
+			switch in.Op {
+			case vm.OpNop, vm.OpStore, vm.OpScatter, vm.OpIf, vm.OpIfMask, vm.OpWhile:
+				// no destination register
+			case vm.OpConst:
+				if in.Imm != 0 {
+					mark(in.Dst)
+				}
+			case vm.OpCopy:
+				copies = append(copies, [2]int{in.Dst, in.A})
+			case vm.OpIota, vm.OpBroadcast, vm.OpLoop, vm.OpParLoop,
+				vm.OpShuffle, vm.OpMaskMov, vm.OpHAdd, vm.OpHMin, vm.OpHMax:
+				mark(in.Dst)
+			default:
+				if !in.Scalar {
+					mark(in.Dst)
+				}
+			}
+			walk(in.Body)
+			walk(in.Else)
+		}
+	}
+	walk(prog.Body)
+	for changed := true; changed; {
+		changed = false
+		for _, c := range copies {
+			if c[1] < 0 || c[1] >= len(wide) || wide[c[1]] {
+				changed = mark(c[0]) || changed
+			}
+		}
+	}
+	return wide
+}
+
+// Front returns the cache front (cache.Front) of a run on m with opt: the
+// part of the simulated hierarchy that decides L1 hits. RunShared runs
+// only machines whose fronts are equal, and the scheduler groups only
+// such cells. It is a planning input, never part of a cell's identity.
+func Front(m *machine.Machine, opt Options) cache.Front {
+	_, _, hc := layout(m, opt)
+	return cache.FrontOf(m, hc)
+}
+
 // RunShared runs a lane-independent program once, on one thread, and
-// simulates its cost on every machine in ms in lockstep. results[k] is
-// bit-identical to what Run(prog, arrays, ms[k], opt) returns on fresh
-// arrays, and the arrays end as any one of those runs leaves them. A
-// functional error (an out-of-range index) fails every machine alike and
-// is returned as is. When the run cannot be shared it returns
-// ErrNotShared and leaves the arrays untouched.
+// simulates its cost on every machine in ms. results[k] is bit-identical
+// to what Run(prog, arrays, ms[k], opt) returns on fresh arrays, and the
+// arrays end as any one of those runs leaves them. A functional error (an
+// out-of-range index) fails every machine alike and is returned as is.
+// When the run cannot be shared it returns ErrNotShared and leaves the
+// arrays untouched.
 func RunShared(prog *vm.Prog, arrays map[string]*vm.Array, ms []*machine.Machine, opt Options) ([]*Result, error) {
 	if opt.Threads != 1 || !LaneIndependent(prog) {
 		return nil, ErrNotShared
 	}
 	for _, m := range ms {
-		if m.Validate() != nil {
+		if m.Validate() != nil || Front(m, opt) != Front(ms[0], opt) {
 			return nil, ErrNotShared
 		}
 	}
 	if len(ms) == 0 {
 		return nil, nil
 	}
-	g := &lockstep{}
+	g := &shared{}
 	defer g.release()
 	for _, m := range ms {
 		e, err := newEngine(prog, arrays, m, opt)
@@ -105,19 +184,19 @@ func RunShared(prog *vm.Prog, arrays map[string]*vm.Array, ms []*machine.Machine
 		}
 		g.engines = append(g.engines, e)
 	}
-	g.bind()
+	if err := g.bind(); err != nil {
+		return nil, ErrNotShared
+	}
 
-	lead := g.engines[0]
-	g.exec(lead.bp.top)
-	if err := g.lead.err; err != nil {
+	if err := g.engines[0].runTop(); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(g.engines))
 	for k, e := range g.engines {
 		if k > 0 {
-			g.settle(e)
+			g.settle(g.followers[k-1])
+			e.flushSegment(e.threads, false)
 		}
-		e.flushSegment(e.threads, false)
 		e.finish()
 		r := e.res
 		out[k] = &r
@@ -125,186 +204,217 @@ func RunShared(prog *vm.Prog, arrays map[string]*vm.Array, ms []*machine.Machine
 	return out, nil
 }
 
-// lockstep is one shared run: the leader's engine executes, the
-// followers' engines are charged.
-type lockstep struct {
+// shared is one shared run: the leader's engine executes, the followers'
+// engines are charged.
+type shared struct {
 	engines   []*engine // the leader first, then the followers
-	lead      *threadCtx
 	followers []follower
-	ins       []stepInstr // indexed by arena index
+	// spanN counts the executions of each span: the top span at 0, the
+	// body of instruction i at 2i+1 and its else at 2i+2. Instruction i
+	// lies in span in[i], so it was dispatched spanN[in[i]] times, and a
+	// while at i ran spanN[2i+1] iterations.
+	spanN []uint64
+	in    []int32
+	ev    []uint64 // charged iterations per loop instruction
 }
 
-// follower is one follower machine's thread and bound program.
+// follower is one follower machine's engine, thread and bound program.
 type follower struct {
+	e   *engine
 	t   *threadCtx
 	ins []bInstr
 }
 
-// stepInstr is the machine-independent count of one instruction's charge
-// events, and the per-event work its followers owe.
-type stepInstr struct {
-	n      uint64 // dispatches
-	ev     uint64 // charged iterations (loops)
-	follow uint8  // followNone, followCarried, followLoad or followStore
-}
-
-// What a follower does at each dispatch of an instruction, besides the
-// charges settle adds: the stalls and cache touches a solo run would
-// incur there.
-const (
-	followNone    = iota
-	followCarried // some follower adds a loop-carried stall
-	followLoad    // scalar load: carried stall and a read through the cursor
-	followStore   // scalar store: a write through the cursor
-)
-
-// bind rebinds the leader's loops and ifs to the lockstep handlers and
-// marks the instructions at which followers owe per-event work.
-func (g *lockstep) bind() {
+// bind attaches the followers' hierarchies to the leader's, maps every
+// instruction to its span, and rebinds the leader's instructions at which
+// followers owe work.
+func (g *shared) bind() error {
 	lead := g.engines[0]
-	g.lead = lead.threads[0]
+	hs := make([]*cache.Hierarchy, 0, len(g.engines)-1)
 	for _, e := range g.engines[1:] {
-		g.followers = append(g.followers, follower{t: e.threads[0], ins: e.bp.instrs})
+		f := follower{e: e, t: e.threads[0], ins: e.bp.instrs}
+		g.followers = append(g.followers, f)
+		hs = append(hs, f.t.hier)
 	}
-	g.ins = make([]stepInstr, len(lead.bp.instrs))
-	loopFn := func(_ *threadCtx, bi *bInstr) { g.loop(bi) }
-	ifFn := func(_ *threadCtx, bi *bInstr) { g.branch(bi) }
-	for i := range lead.bp.instrs {
-		bi := &lead.bp.instrs[i]
-		si := &g.ins[i]
+	if err := lead.threads[0].hier.Lead(hs...); err != nil {
+		return err
+	}
+	ins := lead.bp.instrs
+	g.spanN = make([]uint64, 2*len(ins)+1)
+	g.spanN[0] = 1
+	g.in = make([]int32, len(ins))
+	g.ev = make([]uint64, len(ins))
+	g.mapSpan(ins, lead.bp.top, 0)
+	for i := range ins {
+		bi := &ins[i]
 		switch bi.op {
 		case vm.OpLoop, vm.OpParLoop:
-			bi.fn = loopFn
+			bi.fn = g.loop
 		case vm.OpIf:
-			bi.fn = ifFn
+			bi.fn = g.branch
+		case vm.OpWhile:
+			bi.fn = g.while
 		case vm.OpLoad:
-			si.follow = followLoad
-		case vm.OpStore:
-			si.follow = followStore
+			bi.fn = g.load
 		default:
-			for _, f := range g.followers {
-				if f.ins[i].carriedStall != 0 {
-					si.follow = followCarried
+			if g.carried(i) {
+				solo := bi.fn
+				bi.fn = func(t *threadCtx, bi *bInstr) {
+					solo(t, bi)
+					for _, f := range g.followers {
+						f.t.addCarried(&f.ins[bi.idx])
+					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
-// exec is threadCtx.exec for a shared run: each instruction is counted,
-// the followers do their per-event work, and the leader runs it.
-// Followers go first because a load may overwrite its own base register.
-func (g *lockstep) exec(s vm.Span) {
-	t := g.lead
-	ins := t.e.bp.instrs
+// mapSpan records id as the span of every instruction in s, and the ids
+// of their bodies below them.
+func (g *shared) mapSpan(ins []bInstr, s vm.Span, id int32) {
 	for i := s.Start; i < s.End; i++ {
-		if t.err != nil {
-			return
-		}
-		si := &g.ins[i]
-		si.n++
-		bi := &ins[i]
-		if si.follow != followNone {
-			g.follow(bi, si.follow)
-		}
-		bi.fn(t, bi)
+		g.in[i] = id
+		g.mapSpan(ins, ins[i].body, 2*i+1)
+		g.mapSpan(ins, ins[i].els, 2*i+2)
 	}
 }
 
-// follow does every follower's per-event work at the leader's bound
-// instruction lb, in follower order, reading addresses from the leader's
-// registers (register offsets do not depend on the machine).
-func (g *lockstep) follow(lb *bInstr, kind uint8) {
-	i := lb.idx
-	switch kind {
-	case followCarried:
-		for _, f := range g.followers {
-			f.t.addCarried(&f.ins[i])
+// carried reports whether some follower adds a carried stall at
+// instruction i.
+func (g *shared) carried(i int) bool {
+	for _, f := range g.followers {
+		if f.ins[i].carriedStall != 0 {
+			return true
 		}
-	case followLoad:
-		base := uint64(int64(g.lead.reg(lb.a)[0]))
-		for _, f := range g.followers {
-			bi := &f.ins[i]
-			f.t.addCarried(bi)
-			f.t.touchCursor(bi, f.t.e.lineOf(bi.arr.Base+base*bi.eb), false, bi.mlp)
+	}
+	return false
+}
+
+// load is hLoadS for the leader, touching its line through the cursor as
+// touchCursor does; then each follower adds its carried stall and, when
+// the access missed L1, the miss stall of what its own lower levels served
+// the miss with. A load that is not carried (no machine has a carried
+// stall for it) and hit L1 owes the followers nothing.
+func (g *shared) load(t *threadCtx, bi *bInstr) {
+	arr := bi.arr
+	base := int64(t.reg(bi.a)[0])
+	if base < 0 || base >= int64(len(arr.Data)) {
+		t.boundsErr(bi, base)
+		return
+	}
+	t.reg(bi.dst)[0] = arr.Data[base]
+	t.cost.add(bi.ch)
+	t.addCarried(bi)
+	lvl, lat := t.hier.TouchLine(&t.cursors[bi.idx], t.e.lineOf(arr.Base+uint64(base)*bi.eb), false)
+	missed := lvl != cache.L1
+	if missed {
+		if pen := lat - t.e.l1Latency; pen > 0 {
+			t.cost.stall += pen / bi.mlp
 		}
-	case followStore:
-		base := uint64(int64(g.lead.reg(lb.b)[0]))
-		for _, f := range g.followers {
-			bi := &f.ins[i]
-			f.t.touchCursor(bi, f.t.e.lineOf(bi.arr.Base+base*bi.eb), true, bi.mlp)
+	} else if !bi.carried {
+		return
+	}
+	for _, f := range g.followers {
+		fb := &f.ins[bi.idx]
+		f.t.addCarried(fb)
+		if missed {
+			_, lat := f.t.hier.LastMiss()
+			if pen := lat - f.e.l1Latency; pen > 0 {
+				f.t.cost.stall += pen / fb.mlp
+			}
 		}
 	}
 }
 
-// loop is loopRange's sequential path over the whole trip, dispatching its
-// body in lockstep. The leader is charged per charged iteration as in
-// loopRange; the followers' charges are counted in ev.
-func (g *lockstep) loop(bi *bInstr) {
-	t := g.lead
-	si := &g.ins[bi.idx]
-	lo := bi.lo
-	hi := lo + t.tripCount(bi)
-	unroll := int64(bi.unroll)
-	for i := lo; i < hi; i++ {
-		if t.err != nil {
-			return
-		}
-		t.setInduction(bi.dst, float64(i))
-		if (i-lo)%unroll == 0 {
-			t.chargeLoopIter(bi)
-			si.ev++
-		}
-		g.exec(bi.body)
+// loop is hLoop, counting the body's executions and the charged
+// iterations.
+func (g *shared) loop(t *threadCtx, bi *bInstr) {
+	n := t.tripCount(bi)
+	t.loopRange(bi, bi.lo, bi.lo+n)
+	if n > 0 {
+		u := int64(bi.unroll)
+		g.spanN[2*bi.idx+1] += uint64(n)
+		g.ev[bi.idx] += uint64((n + u - 1) / u)
 	}
 }
 
-// branch is threadCtx.branch in lockstep: every machine pays its own
-// miss stall, the leader's lane 0 picks the side.
-func (g *lockstep) branch(bi *bInstr) {
-	t := g.lead
+// branch is threadCtx.branch with every follower's miss stall, counting
+// the side taken.
+func (g *shared) branch(t *threadCtx, bi *bInstr) {
 	t.cost.add(bi.ch)
 	t.addMissStall(bi)
-	for _, f := range g.followers {
-		f.t.addMissStall(&f.ins[bi.idx])
-	}
+	g.addMissStalls(bi.idx)
 	if t.regs[bi.a] != 0 {
-		g.exec(bi.body)
+		g.spanN[2*bi.idx+1]++
+		t.exec(bi.body)
 	} else {
-		g.exec(bi.els)
+		g.spanN[2*bi.idx+2]++
+		t.exec(bi.els)
 	}
 }
 
-// settle adds the counted charges of a shared run to follower e's row
+// while is threadCtx.while with every follower's miss stall per
+// iteration, counting the iterations. LaneIndependent admits only a
+// condition that is zero above lane 0, so the mask is lane 0's.
+func (g *shared) while(t *threadCtx, bi *bInstr) {
+	for {
+		m := t.whileMask(bi)
+		if m == 0 {
+			return
+		}
+		t.cost.add(bi.ch)
+		t.addMissStall(bi)
+		g.addMissStalls(bi.idx)
+		g.spanN[2*bi.idx+1]++
+		t.pushMask(m)
+		t.exec(bi.body)
+		t.popMask()
+	}
+}
+
+// addMissStalls adds every follower's branch-miss stall for instruction i.
+func (g *shared) addMissStalls(i int32) {
+	for _, f := range g.followers {
+		f.t.addMissStall(&f.ins[i])
+	}
+}
+
+// settle adds the counted charges of a shared run to follower f's row
 // counters and flops, as its solo handlers would have charged them one
 // event at a time: a loop charges its induction update and back-edge per
-// charged iteration; every other instruction LaneIndependent admits
-// charges its primary row per dispatch, an FMA without FMA hardware its
-// dependent add as well, and flopsMul flops (each is one lane wide, or
-// charges no flops).
-func (g *lockstep) settle(e *engine) {
-	acc := &e.threads[0].cost
-	for i := range g.ins {
-		si := &g.ins[i]
-		bi := &e.bp.instrs[i]
+// charged iteration, a while its branch per iteration; every other
+// instruction LaneIndependent admits charges its primary row per
+// dispatch, an FMA without FMA hardware its dependent add as well, and
+// flopsMul flops (each is one lane wide, or charges no flops).
+func (g *shared) settle(f follower) {
+	acc := &f.t.cost
+	for i := range f.ins {
+		bi := &f.ins[i]
+		n := g.spanN[g.in[i]]
 		switch bi.op {
 		case vm.OpNop:
 		case vm.OpLoop, vm.OpParLoop:
-			acc.n[bi.ch] += si.ev
-			acc.n[bi.chB] += si.ev
+			acc.n[bi.ch] += g.ev[i]
+			acc.n[bi.chB] += g.ev[i]
+		case vm.OpWhile:
+			acc.n[bi.ch] += g.spanN[2*i+1]
 		default:
-			acc.n[bi.ch] += si.n
+			acc.n[bi.ch] += n
 			if bi.hasChB {
-				acc.n[bi.chB] += si.n
+				acc.n[bi.chB] += n
 			}
-			acc.flops += si.n * uint64(bi.flopsMul)
+			acc.flops += n * uint64(bi.flopsMul)
 		}
 	}
 }
 
-// release returns every engine's thread contexts to its pool.
-func (g *lockstep) release() {
+// release detaches the followers' hierarchies and returns every engine's
+// thread contexts to its pool.
+func (g *shared) release() {
 	for _, e := range g.engines {
+		e.threads[0].hier.Detach()
 		e.releaseThreads()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ninjagap/internal/kernels"
@@ -89,50 +90,95 @@ func suiteFresh(t *testing.T, b kernels.Benchmark, v kernels.Version) func(*mach
 // every suite kernel's naive program at test size, shared across the
 // five presets, Fig 7's variant and a SetCost clone, must give each
 // machine exactly the Result and arrays one Run on that machine gives,
-// with the prefetcher on and off and with another machine leading. It
-// also pins which naive programs share.
+// with the prefetcher on and off and with another machine leading. Every
+// naive program must share, the three whose loops are while loops
+// (treesearch, mergesort, volumerender) included.
 func TestRunSharedMatchesRun(t *testing.T) {
-	refused := map[string]bool{"treesearch": true, "mergesort": true, "volumerender": true}
 	ms := sharedMachines()
 	shared := 0
 	for _, b := range kernels.All() {
 		t.Run(b.Name(), func(t *testing.T) {
 			fresh := suiteFresh(t, b, kernels.Naive)
-			ok := checkShared(t, fresh, ms, Options{Threads: 1})
-			if ok == refused[b.Name()] {
-				t.Fatalf("LaneIndependent(%s naive) = %v, want %v", b.Name(), ok, !refused[b.Name()])
-			}
-			if !ok {
-				return
+			if !checkShared(t, fresh, ms, Options{Threads: 1}) {
+				t.Fatalf("LaneIndependent(%s naive) = false, want true", b.Name())
 			}
 			shared++
 			checkShared(t, fresh, reversed(ms), Options{Threads: 1, DisablePrefetch: true})
 		})
 	}
-	if want := len(kernels.All()) - len(refused); shared != want {
+	if want := len(kernels.All()); shared != want {
 		t.Errorf("%d naive programs shared, want %d", shared, want)
 	}
 }
 
-// hasVectorWork reports whether a program contains a vector loop or a
+// hasVectorWork reports whether a program contains a vector loop, a
 // lane-wide instruction other than those that write every lane at any
-// width: the programs LaneIndependent must refuse, found without it.
-func hasVectorWork(body []vm.Instr) bool {
-	for i := range body {
-		in := &body[i]
+// width, or a while whose condition may be non-zero above lane 0: the
+// programs LaneIndependent must refuse, found without it. A condition is
+// lane 0's alone when each of its writers, searched for across the whole
+// program, is a scalar op other than a lane-filling move, a const 0, or a
+// copy of a register that is lane 0's alone; a register met again while
+// its own writers are being checked adds no new writer.
+func hasVectorWork(prog *vm.Prog) bool {
+	var all []*vm.Instr
+	var collect func(body []vm.Instr)
+	collect = func(body []vm.Instr) {
+		for i := range body {
+			all = append(all, &body[i])
+			collect(body[i].Body)
+			collect(body[i].Else)
+		}
+	}
+	collect(prog.Body)
+	var laneZero func(r int, seen map[int]bool) bool
+	laneZero = func(r int, seen map[int]bool) bool {
+		if seen[r] {
+			return true
+		}
+		seen[r] = true
+		for _, in := range all {
+			switch in.Op {
+			case vm.OpStore, vm.OpScatter, vm.OpIf, vm.OpIfMask, vm.OpWhile, vm.OpNop:
+				continue
+			}
+			if in.Dst != r {
+				continue
+			}
+			switch in.Op {
+			case vm.OpCopy:
+				if !laneZero(in.A, seen) {
+					return false
+				}
+			case vm.OpConst:
+				if in.Imm != 0 {
+					return false
+				}
+			case vm.OpIota, vm.OpBroadcast, vm.OpLoop, vm.OpParLoop, vm.OpMaskMov,
+				vm.OpShuffle, vm.OpHAdd, vm.OpHMin, vm.OpHMax:
+				return false
+			default:
+				if !in.Scalar {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, in := range all {
 		switch in.Op {
 		case vm.OpNop, vm.OpConst, vm.OpIota, vm.OpBroadcast, vm.OpCopy, vm.OpIf:
 		case vm.OpLoop, vm.OpParLoop:
 			if in.Vec {
 				return true
 			}
+		case vm.OpWhile:
+			if !laneZero(in.A, map[int]bool{}) {
+				return true
+			}
 		default:
 			if !in.Scalar {
 				return true
 			}
-		}
-		if hasVectorWork(in.Body) || hasVectorWork(in.Else) {
-			return true
 		}
 	}
 	return false
@@ -152,7 +198,7 @@ func TestLaneIndependentRefusesVectorWork(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vec := hasVectorWork(inst.Prog.Body)
+				vec := hasVectorWork(inst.Prog)
 				if vec {
 					vector++
 				}
@@ -191,6 +237,26 @@ func TestRunSharedPreconditions(t *testing.T) {
 	prog, arrays := fresh(ms[0])
 	if _, err := RunShared(prog, arrays, []*machine.Machine{ms[0], bad}, Options{Threads: 1}); !errors.Is(err, ErrNotShared) {
 		t.Errorf("invalid machine: got %v, want ErrNotShared", err)
+	}
+
+	// Machines whose L1 fronts differ cannot share one L1 simulation.
+	bigL1 := ms[2].Clone()
+	bigL1.Caches[0].SizeBytes *= 2
+	noPF := ms[2].Clone()
+	noPF.Feat.HWPrefetch = false
+	for _, other := range []*machine.Machine{bigL1, noPF} {
+		prog, arrays := fresh(ms[0])
+		if _, err := RunShared(prog, arrays, []*machine.Machine{ms[0], ms[2], other}, Options{Threads: 1}); !errors.Is(err, ErrNotShared) {
+			t.Errorf("front %+v beside %+v: got %v, want ErrNotShared",
+				Front(other, Options{Threads: 1}), Front(ms[0], Options{Threads: 1}), err)
+		}
+		_, untouched := fresh(ms[0])
+		diffArrays(t, arrays, untouched)
+	}
+	// With the prefetcher off for every machine, the prefetch feature no
+	// longer splits the front.
+	if Front(noPF, Options{Threads: 1, DisablePrefetch: true}) != Front(ms[0], Options{Threads: 1, DisablePrefetch: true}) {
+		t.Error("DisablePrefetch left the prefetch feature in the front")
 	}
 }
 
@@ -236,15 +302,70 @@ func TestRunSharedPointerChase(t *testing.T) {
 	}
 }
 
+// TestLaneIndependentWhileConditions pins the while rule writer by
+// writer. Each program first writes a while's condition register one way,
+// then runs five iterations whose condition is a copy of a scalar compare.
+// The first write decides: a fresh register, a const 0, a scalar compare
+// or a copy of one leave every lane above 0 zero, and the program must
+// share bit-identically; a non-zero const, a broadcast, an iota, a loop
+// induction or a copy of an iota may not, and it must be refused.
+func TestLaneIndependentWhileConditions(t *testing.T) {
+	cmp := func(b *vm.Builder) int { return b.Scalar2(vm.OpCmpLT, b.Const(0), b.Const(1)) }
+	copyOf := func(b *vm.Builder, src int) int {
+		d := b.Reg()
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: d, A: src, Scalar: true})
+		return d
+	}
+	cases := []struct {
+		name  string
+		first func(b *vm.Builder) int
+		admit bool
+	}{
+		{"fresh register", func(b *vm.Builder) int { return b.Reg() }, true},
+		{"const 0", func(b *vm.Builder) int { return b.Const(0) }, true},
+		{"scalar compare", cmp, true},
+		{"copy of a scalar compare", func(b *vm.Builder) int { return copyOf(b, cmp(b)) }, true},
+		{"non-zero const", func(b *vm.Builder) int { return b.Const(2) }, false},
+		{"broadcast", func(b *vm.Builder) int { return b.Broadcast(b.Const(1)) }, false},
+		{"iota", func(b *vm.Builder) int { return b.Iota(0) }, false},
+		{"loop induction", func(b *vm.Builder) int { i := b.Loop(1, 1); b.End(); return i }, false},
+		{"copy of an iota", func(b *vm.Builder) int { return copyOf(b, b.Iota(0)) }, false},
+	}
+	for _, tc := range cases {
+		b := vm.NewBuilder("whilecond")
+		a := b.Array("a", 4)
+		cond := tc.first(b)
+		k := copyOf(b, b.Const(0))
+		lim := b.Const(5)
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: cond, A: b.Scalar2(vm.OpCmpLT, k, lim), Scalar: true})
+		b.While(cond, 0.1)
+		b.StoreScalar(a, b.Scalar2(vm.OpAdd, b.LoadScalar(a, k), b.Const(1)), k)
+		b.Emit(vm.Instr{Op: vm.OpAdd, Dst: k, A: k, B: b.Const(1), Scalar: true, Addr: true})
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: cond, A: b.Scalar2(vm.OpCmpLT, k, lim), Scalar: true})
+		b.End()
+		prog := b.MustBuild()
+		if got := LaneIndependent(prog); got != tc.admit {
+			t.Errorf("%s: LaneIndependent = %v, want %v", tc.name, got, tc.admit)
+			continue
+		}
+		fresh := func(*machine.Machine) (*vm.Prog, map[string]*vm.Array) {
+			return prog, map[string]*vm.Array{"a": vm.NewArray("a", 4, 8)}
+		}
+		if checkShared(t, fresh, sharedMachines(), Options{Threads: 1}) != tc.admit {
+			t.Errorf("%s: RunShared disagrees with LaneIndependent", tc.name)
+		}
+	}
+}
+
 // genScalarCase builds a random single-threaded scalar program: nested
 // static, dynamic and (top-level) parallel loops with unroll factors,
-// if/else on compares, every scalar arithmetic, compare, mask, math and
-// blend op, carried chains, address arithmetic, scalar loads and stores
-// (some aliasing, some carried) and the lane-filling moves. One seed in
-// eight also gets one instruction that makes the program lane-dependent;
-// the second result says whether it did. Indices stay in bounds by
-// construction.
-func genScalarCase(r *rand.Rand) (fuzzCase, bool) {
+// if/else on compares, bounded while loops, every scalar arithmetic,
+// compare, mask, math and blend op, carried chains, address arithmetic,
+// scalar loads and stores (some aliasing, some carried) and the
+// lane-filling moves. One seed in eight also gets one construct that
+// LaneIndependent must refuse; the second result names it, or is "" when
+// there is none. Indices stay in bounds by construction.
+func genScalarCase(r *rand.Rand) (fuzzCase, string) {
 	b := vm.NewBuilder("sharedfuzz")
 	if r.Intn(3) == 0 {
 		b.ElemBytes(8)
@@ -273,28 +394,80 @@ func genScalarCase(r *rand.Rand) (fuzzCase, bool) {
 	pickIdx := func() index { return idxs[r.Intn(len(idxs))] }
 
 	dependent := r.Intn(8) == 0
-	injected := false
-	inject := func() {
-		injected = true
+	injected := ""
+	var body func(depth int)
+
+	// while emits a while loop of at most five iterations over a counter
+	// k. Its condition register is written by copies of a scalar compare
+	// of k, so it is zero above lane 0 and LaneIndependent admits it,
+	// unless wide names a lane-wide writer that also writes the register
+	// first: a non-zero const, a broadcast, an iota or a loop induction.
+	// The body sees k as an index.
+	while := func(depth int, wide string) {
+		k := b.Reg()
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: k, A: b.Const(0), Scalar: true})
+		trip := r.Intn(6)
+		lim := b.Const(float64(trip))
+		cond := b.Reg()
+		switch wide {
+		case "const":
+			cond = b.Const(float64(1 + r.Intn(3)))
+		case "broadcast":
+			cond = b.Broadcast(pick())
+		case "iota":
+			cond = b.Iota(float64(r.Intn(4)))
+		case "induction":
+			cond = b.Loop(1, 1)
+			b.End()
+		}
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: cond, A: b.Scalar2(vm.OpCmpLT, k, lim), Scalar: true})
+		b.While(cond, r.Float64()*0.3)
+		if depth < 3 {
+			saved := len(idxs)
+			idxs = append(idxs, index{k, max(trip-1, 0)})
+			body(depth + 1)
+			idxs = idxs[:saved]
+		}
+		b.Emit(vm.Instr{Op: vm.OpAdd, Dst: k, A: k, B: b.Const(1), Scalar: true, Addr: true})
+		b.Emit(vm.Instr{Op: vm.OpCopy, Dst: cond, A: b.Scalar2(vm.OpCmpLT, k, lim), Scalar: true})
+		b.End()
+	}
+
+	// inject emits one lane-dependent construct; half of them are while
+	// loops whose condition register also has a lane-wide writer.
+	inject := func(depth int) {
+		if r.Intn(2) == 0 {
+			wide := []string{"const", "broadcast", "iota", "induction"}[r.Intn(4)]
+			injected = "while also written by " + wide
+			while(depth, wide)
+			return
+		}
 		switch r.Intn(7) {
 		case 0:
-			vals = append(vals, b.Op2(vm.OpAdd, pick(), pick())) // lane-wide arithmetic
+			injected = "lane-wide add"
+			vals = append(vals, b.Op2(vm.OpAdd, pick(), pick()))
 		case 1:
+			injected = "hadd"
 			vals = append(vals, b.Op1(vm.OpHAdd, pick()))
 		case 2:
+			injected = "maskmov"
 			vals = append(vals, b.MaskMov())
 		case 3:
+			injected = "shuffle"
 			vals = append(vals, b.Shuffle(pick(), []int{1, 0}))
 		case 4:
+			injected = "gather"
 			nm := arr()
 			ix := pickIdx()
 			need(nm, ix.hi)
 			vals = append(vals, b.Gather(arrID[nm], ix.reg))
 		case 5:
+			injected = "ifmask"
 			b.IfMask(pick())
 			vals = append(vals, b.Scalar2(vm.OpMul, pick(), pick()))
 			b.End()
 		case 6: // a vector loop runs its scalar body once per W iterations
+			injected = "vector loop"
 			b.VecLoop(0, int64(1+r.Intn(40)))
 			vals = append(vals, b.Scalar2(vm.OpAdd, pick(), pick()))
 			b.MarkCarried()
@@ -307,13 +480,12 @@ func genScalarCase(r *rand.Rand) (fuzzCase, bool) {
 	unOps := []vm.Op{vm.OpNeg, vm.OpAbs, vm.OpSqrt, vm.OpRsqrt, vm.OpRcp, vm.OpExp, vm.OpLog,
 		vm.OpSin, vm.OpCos, vm.OpFloor, vm.OpNotM}
 
-	var body func(depth int)
 	body = func(depth int) {
 		for k, nOps := 0, 2+r.Intn(8); k < nOps; k++ {
-			if dependent && !injected && r.Intn(4) == 0 {
-				inject()
+			if dependent && injected == "" && r.Intn(4) == 0 {
+				inject(depth)
 			}
-			switch r.Intn(14) {
+			switch r.Intn(15) {
 			case 0, 1:
 				vals = append(vals, b.Scalar2(binOps[r.Intn(len(binOps))], pick(), pick()))
 				if r.Intn(4) == 0 {
@@ -399,37 +571,47 @@ func genScalarCase(r *rand.Rand) (fuzzCase, bool) {
 					body(depth + 1)
 				}
 				b.End()
+			case 14:
+				if depth < 3 {
+					while(depth, "")
+				}
 			}
 		}
 	}
 	body(0)
-	if dependent && !injected {
-		inject()
+	if dependent && injected == "" {
+		inject(0)
 	}
 	prog := b.MustBuild()
-	return fuzzCase{prog: prog, sizes: sizes, elemB: elemB, threads: 1}, !dependent
+	return fuzzCase{prog: prog, sizes: sizes, elemB: elemB, threads: 1}, injected
 }
 
 // TestRunSharedFuzz compares shared runs against one Run per machine over
 // random scalar programs (120 seeds, 25 with -short), each seed on its
-// own subset and order of sharedMachines. A seed whose generator made the
-// program lane-dependent must be refused, every other accepted.
+// own subset and order of sharedMachines. A seed whose generator injected
+// a lane-dependent construct must be refused, every other accepted, so
+// each refusal is matched to its injection.
 func TestRunSharedFuzz(t *testing.T) {
 	trials := 120
 	if testing.Short() {
 		trials = 25
 	}
 	all := sharedMachines()
-	accepted, want := 0, 0
+	accepted, want, whiles := 0, 0, 0
+	injections := map[string]int{}
 	for seed := 0; seed < trials; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
-			fc, independent := genScalarCase(r)
-			if independent {
+			fc, injected := genScalarCase(r)
+			injections[injected]++
+			if injected == "" {
 				want++
+				if strings.Contains(fc.prog.Dump(), "while") {
+					whiles++
+				}
 			}
-			if got := LaneIndependent(fc.prog); got != independent {
-				t.Fatalf("LaneIndependent = %v, want %v\n%s", got, independent, fc.prog.Dump())
+			if got := LaneIndependent(fc.prog); got != (injected == "") {
+				t.Fatalf("LaneIndependent = %v with injection %q\n%s", got, injected, fc.prog.Dump())
 			}
 			perm := r.Perm(len(all))[:2+r.Intn(len(all)-1)]
 			ms := make([]*machine.Machine, len(perm))
@@ -462,5 +644,10 @@ func TestRunSharedFuzz(t *testing.T) {
 	if accepted != want || accepted < trials*3/4 {
 		t.Errorf("RunShared accepted %d of %d seeds; the generator made %d lane-independent", accepted, trials, want)
 	}
-	t.Logf("RunShared accepted %d of %d seeds", accepted, trials)
+	if whiles < accepted/4 {
+		t.Errorf("only %d of %d accepted programs have a while loop", whiles, accepted)
+	}
+	delete(injections, "")
+	t.Logf("RunShared accepted %d of %d seeds, %d of them with while loops; refused injections: %v",
+		accepted, trials, whiles, injections)
 }

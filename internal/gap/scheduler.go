@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"ninjagap/internal/cache"
 	"ninjagap/internal/exec"
 	"ninjagap/internal/kernels"
 	"ninjagap/internal/machine"
@@ -308,10 +309,13 @@ type work struct {
 // and form one item, placed at its first member: cells whose keys agree
 // on everything but the machine (bench, version, N, prefetch flag; the
 // check mode is the scheduler's), on one thread, at a version other than
-// Ninja (whose Prepare builds machine-specific code), that are neither in
-// the memo nor on disk now. A group needs two members. Every other cell,
-// including a repeat of a member's key, is an item of its own, so a batch
-// never computes a cell it was not given and a lone cell runs as before.
+// Ninja (whose Prepare builds machine-specific code), whose machines have
+// one cache front (exec.Front: the L1 and prefetcher every member's L1
+// hits are decided by), and that are neither in the memo nor on disk now.
+// A group needs two members. Every other cell, including a repeat of a
+// member's key, is an item of its own, so a batch never computes a cell it
+// was not given and a lone cell runs as before. The front only steers
+// grouping; it is no part of any cell's key.
 func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 	items := make([]work, 0, len(cells))
 	var cand []int
@@ -323,13 +327,17 @@ func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 	var groups map[int][]int // first member -> members
 	if len(cand) > 1 {
 		taken := make([]bool, len(cells))
+		fronts := make([]cache.Front, len(cells))
+		for _, i := range cand {
+			fronts[i] = exec.Front(cells[i].Machine, exec.Options{Threads: 1, DisablePrefetch: cells[i].DisablePrefetch})
+		}
 		for a, i := range cand {
 			if taken[i] {
 				continue
 			}
 			members := []int{i}
 			for _, j := range cand[a+1:] {
-				if taken[j] || !sameProgram(keys[i], keys[j]) {
+				if taken[j] || !sameProgram(keys[i], keys[j]) || fronts[j] != fronts[i] {
 					continue
 				}
 				taken[j] = true

@@ -131,13 +131,12 @@ func goldenBlock(t *testing.T, file, header string) string {
 
 // TestGroupedNaiveMatchGoldens runs every suite kernel's naive cell on
 // all five presets as one batch, serially and on two workers, so that
-// each kernel whose program shares runs once for all five machines, and
-// each other kernel falls back to five solo runs. Every cell must print
+// each kernel runs once for all five machines. Every cell must print
 // exactly the raw Result committed in the goldens: the machine files for
 // four presets, the kernel files for Westmere. The batch must also have
-// shared: one Prepare per shared kernel, five per refused one.
+// shared: one Prepare per kernel, the while-loop kernels (treesearch,
+// mergesort, volumerender) included.
 func TestGroupedNaiveMatchGoldens(t *testing.T) {
-	refused := map[string]bool{"treesearch": true, "mergesort": true, "volumerender": true}
 	for _, jobs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
 			var cells []Cell
@@ -168,12 +167,8 @@ func TestGroupedNaiveMatchGoldens(t *testing.T) {
 				}
 			}
 			for _, cb := range counted {
-				want := int64(1)
-				if refused[cb.Name()] {
-					want = int64(len(machine.All()))
-				}
-				if got := cb.prepares.Load(); got != want {
-					t.Errorf("%s: %d Prepares for %d machines, want %d", cb.Name(), got, len(machine.All()), want)
+				if got := cb.prepares.Load(); got != 1 {
+					t.Errorf("%s: %d Prepares for %d machines, want 1", cb.Name(), got, len(machine.All()))
 				}
 			}
 			if _, misses := memo.Stats(); misses != int64(len(cells)) {
@@ -358,8 +353,13 @@ func TestDispatchMemoMisses(t *testing.T) {
 
 // TestSchedulerGroupResultsMatchSolo checks a mixed batch end to end: the
 // same cells on a grouping scheduler and one cell per batch (no group can
-// form) give deeply equal Results.
+// form) give deeply equal Results. The batch includes a Westmere clone
+// with a 64 KB L1, whose hits one L1 simulation of the others cannot
+// decide: the plan must measure its cells alone.
 func TestSchedulerGroupResultsMatchSolo(t *testing.T) {
+	bigL1 := machine.WestmereX980().Clone()
+	bigL1.Name = "WestmereX980-64KL1"
+	bigL1.Caches[0].SizeBytes = 64 << 10
 	var cells []Cell
 	for _, name := range []string{"nbody", "treesearch", "blackscholes"} {
 		b, err := kernels.ByName(name)
@@ -367,12 +367,28 @@ func TestSchedulerGroupResultsMatchSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range []kernels.Version{kernels.Naive, kernels.AutoVec, kernels.Ninja} {
-			for _, m := range groupMachines() {
+			for _, m := range append(groupMachines(), bigL1) {
 				cells = append(cells, Cell{Bench: b, Version: v, Machine: m, N: LegalN(b, b.TestN())})
 			}
 		}
 	}
-	grouped, err := NewScheduler(2, NewMemo(), false).Run(context.Background(), cells)
+	s := NewScheduler(2, NewMemo(), false)
+	groups := 0
+	for _, it := range s.plan(cells, s.keys(cells)) {
+		if it.group != nil {
+			groups++
+		}
+		for _, i := range it.group {
+			if cells[i].Machine == bigL1 {
+				t.Errorf("plan grouped %s/%s on the 64 KB-L1 clone with %d other cells",
+					cells[i].Bench.Name(), cells[i].Version, len(it.group)-1)
+			}
+		}
+	}
+	if groups == 0 {
+		t.Error("plan formed no group")
+	}
+	grouped, err := s.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
