@@ -53,10 +53,15 @@ type line struct {
 }
 
 type level struct {
-	// lines holds every set contiguously (set s occupies
-	// lines[s*assoc : (s+1)*assoc]): one allocation, and a probe touches
-	// adjacent memory instead of chasing a per-set slice header.
-	lines    []line
+	// planes[w][s] is way w of set s: each plane holds one line per set.
+	// A set's valid lines are always its first k ways, since a fill takes
+	// the first invalid way and only a reset invalidates, so a level holds
+	// only as many planes as the fullest set has needed (a fill appends
+	// one when every allocated way of its set is valid), and a probe
+	// stops at the first invalid way. Planes never move once allocated,
+	// so a pointer to a line stays valid as planes are added.
+	planes   [][]line
+	numSets  int
 	assoc    int
 	setMask  uint64
 	offBits  uint
@@ -93,7 +98,8 @@ func newLevel(cfg machine.CacheLevel) *level {
 		numSets = 1 << uint(bits.Len(uint(numSets))-1)
 	}
 	l := &level{
-		lines:   make([]line, numSets*cfg.Assoc),
+		planes:  make([][]line, 0, cfg.Assoc),
+		numSets: numSets,
 		assoc:   cfg.Assoc,
 		setMask: uint64(numSets - 1),
 		offBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -106,14 +112,17 @@ func newLevel(cfg machine.CacheLevel) *level {
 
 // reset invalidates every line and zeroes the counters in O(1): lines are
 // valid only while their generation matches the level's, so bumping the
-// level generation cold-starts the cache without touching the sets. Once
-// every 2^32 resets the generation wraps to 0; lines stamped with the
-// generations about to be reused would then match again, so the wrap
-// clears every line and restarts at 1.
+// level generation cold-starts the cache without touching the sets. The
+// planes stay allocated for the next run. Once every 2^32 resets the
+// generation wraps to 0; lines stamped with the generations about to be
+// reused would then match again, so the wrap clears every allocated plane
+// and restarts at 1.
 func (l *level) reset() {
 	l.gen++
 	if l.gen == 0 {
-		clear(l.lines)
+		for _, p := range l.planes {
+			clear(p)
+		}
 		l.gen = 1
 	}
 	l.clock = 0
@@ -125,10 +134,19 @@ func (l *level) index(addr uint64) (set uint64, tag uint64) {
 	return lineAddr & l.setMask, lineAddr >> l.tagShift
 }
 
-// ways returns one set's lines.
-func (l *level) ways(set uint64) []line {
-	base := set * uint64(l.assoc)
-	return l.lines[base : base+uint64(l.assoc)]
+// find returns set's valid line holding tag, or nil. Valid lines are a
+// prefix of the planes, so the walk stops at the first invalid way.
+func (l *level) find(set, tag uint64) *line {
+	for _, p := range l.planes {
+		ln := &p[set]
+		if ln.gen != l.gen {
+			return nil
+		}
+		if ln.tag == tag {
+			return ln
+		}
+	}
+	return nil
 }
 
 // lookup probes the level without a demand: on a hit it refreshes LRU
@@ -136,33 +154,35 @@ func (l *level) ways(set uint64) []line {
 func (l *level) lookup(addr uint64) bool {
 	set, tag := l.index(addr)
 	l.clock++
-	ways := l.ways(set)
-	for i := range ways {
-		if ways[i].gen == l.gen && ways[i].tag == tag {
-			ways[i].lastUse = l.clock
-			return true
-		}
+	if ln := l.find(set, tag); ln != nil {
+		ln.lastUse = l.clock
+		return true
 	}
 	return false
 }
 
 // fill inserts a line, evicting LRU. It reports whether a dirty line was
-// evicted (needs write-back).
+// evicted (needs write-back). The victim is the set's first invalid way,
+// else a new plane while the level has fewer than assoc (the way the set
+// would fill next), else the least recently used of all assoc ways.
 func (l *level) fill(addr uint64, dirty, prefetch bool) (evictedDirty bool, evictedAddr uint64) {
 	set, tag := l.index(addr)
 	l.clock++
-	ways := l.ways(set)
-	victim := 0
-	for i := range ways {
-		if ways[i].gen != l.gen {
-			victim = i
+	var v *line
+	for _, p := range l.planes {
+		ln := &p[set]
+		if ln.gen != l.gen {
+			v = ln
 			break
 		}
-		if ways[i].lastUse < ways[victim].lastUse {
-			victim = i
+		if v == nil || ln.lastUse < v.lastUse {
+			v = ln
 		}
 	}
-	v := &ways[victim]
+	if v == nil || v.gen == l.gen && len(l.planes) < l.assoc {
+		l.planes = append(l.planes, make([]line, l.numSets))
+		v = &l.planes[len(l.planes)-1][set]
+	}
 	if v.gen == l.gen && v.dirty {
 		evictedDirty = true
 		evictedAddr = ((v.tag << l.tagShift) | set) << l.offBits
@@ -173,13 +193,8 @@ func (l *level) fill(addr uint64, dirty, prefetch bool) (evictedDirty bool, evic
 
 // markDirty sets the dirty bit on a resident line (store hit).
 func (l *level) markDirty(addr uint64) {
-	set, tag := l.index(addr)
-	ways := l.ways(set)
-	for i := range ways {
-		if ways[i].gen == l.gen && ways[i].tag == tag {
-			ways[i].dirty = true
-			return
-		}
+	if ln := l.find(l.index(addr)); ln != nil {
+		ln.dirty = true
 	}
 }
 
@@ -189,19 +204,17 @@ func (l *level) markDirty(addr uint64) {
 func (l *level) probeDemand(addr uint64, write bool) (hit, wasPrefetch bool) {
 	set, tag := l.index(addr)
 	l.clock++
-	ways := l.ways(set)
-	for i := range ways {
-		if ways[i].gen == l.gen && ways[i].tag == tag {
-			ways[i].lastUse = l.clock
-			wasPrefetch = ways[i].prefetch
-			ways[i].prefetch = false
-			if write {
-				ways[i].dirty = true
-			}
-			return true, wasPrefetch
-		}
+	ln := l.find(set, tag)
+	if ln == nil {
+		return false, false
 	}
-	return false, false
+	ln.lastUse = l.clock
+	wasPrefetch = ln.prefetch
+	ln.prefetch = false
+	if write {
+		ln.dirty = true
+	}
+	return true, wasPrefetch
 }
 
 // Hierarchy simulates one hardware thread's view of the cache hierarchy.
@@ -421,25 +434,17 @@ func (h *Hierarchy) AccessCost(addr uint64, write bool) (Level, float64) {
 	set, tag := lineAddr&l0.setMask, lineAddr>>l0.tagShift
 	l0.stats.Accesses++
 	l0.clock++
-	hit := false
-	ways := l0.ways(set)
-	for i := range ways {
-		if ways[i].gen == l0.gen && ways[i].tag == tag {
-			ways[i].lastUse = l0.clock
-			if ways[i].prefetch {
-				ways[i].prefetch = false
-				l0.stats.PrefetchHits++
-			}
-			if write {
-				ways[i].dirty = true
-			}
-			hit = true
-			break
-		}
-	}
 	var lvl Level
 	var lat float64
-	if hit {
+	if ln := l0.find(set, tag); ln != nil {
+		ln.lastUse = l0.clock
+		if ln.prefetch {
+			ln.prefetch = false
+			l0.stats.PrefetchHits++
+		}
+		if write {
+			ln.dirty = true
+		}
 		l0.stats.Hits++
 		lvl, lat = L1, l0.latency
 	} else {
@@ -516,23 +521,15 @@ func (h *Hierarchy) AccessRun(line0 uint64, n int, write bool, l1Lat, mlp float6
 		set, tag := lineAddr&l0.setMask, lineAddr>>l0.tagShift
 		l0.stats.Accesses++
 		l0.clock++
-		hit := false
-		ways := l0.ways(set)
-		for i := range ways {
-			if ways[i].gen == l0.gen && ways[i].tag == tag {
-				ways[i].lastUse = l0.clock
-				if ways[i].prefetch {
-					ways[i].prefetch = false
-					l0.stats.PrefetchHits++
-				}
-				if write {
-					ways[i].dirty = true
-				}
-				hit = true
-				break
+		if ln := l0.find(set, tag); ln != nil {
+			ln.lastUse = l0.clock
+			if ln.prefetch {
+				ln.prefetch = false
+				l0.stats.PrefetchHits++
 			}
-		}
-		if hit {
+			if write {
+				ln.dirty = true
+			}
 			l0.stats.Hits++
 		} else {
 			l0.stats.Misses++

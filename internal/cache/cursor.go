@@ -13,7 +13,7 @@ package cache
 type LineCursor struct {
 	lineAddr uint64
 	tag      uint64
-	way      *line
+	way      *line // planes never move, so this survives added planes
 	valid    bool
 	// miss balances general-path touches against fast-path hits: a miss
 	// increments it, a hit decrements it. Streams that mostly hit (unit
@@ -83,13 +83,7 @@ func (h *Hierarchy) TouchLine(cur *LineCursor, lineAddr uint64, write bool) (Lev
 func (cur *LineCursor) reseat(h *Hierarchy, lineAddr uint64) {
 	l0 := h.levels[0]
 	set, tag := l0.index(lineAddr)
-	cur.lineAddr, cur.tag, cur.valid = lineAddr, tag, false
-	ways := l0.ways(set)
-	for i := range ways {
-		if ways[i].gen == l0.gen && ways[i].tag == tag {
-			cur.way = &ways[i]
-			cur.valid = true
-			return
-		}
-	}
+	cur.lineAddr, cur.tag = lineAddr, tag
+	cur.way = l0.find(set, tag)
+	cur.valid = cur.way != nil
 }

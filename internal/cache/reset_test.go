@@ -10,8 +10,9 @@ import (
 	"ninjagap/internal/machine"
 )
 
-// TestLineIs24Bytes guards the line layout: every way of every simulated
-// set is one line, so its size is most of a hierarchy's host footprint.
+// TestLineIs24Bytes guards the line layout: every allocated way of every
+// simulated set is one line, so its size is most of a hierarchy's host
+// footprint.
 func TestLineIs24Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(line{}); got != 24 {
 		t.Errorf("unsafe.Sizeof(line{}) = %d, want 24", got)

@@ -53,9 +53,11 @@ type bInstr struct {
 	// fn is the pre-bound handler dispatch target (see bindHandler).
 	fn handlerFn
 
-	// idx is the instruction's arena index; per-thread per-instruction
-	// state (the scalar-access line cursors) is keyed by it.
+	// idx is the instruction's arena index.
 	idx int32
+	// cur indexes the thread's line cursors (threadCtx.cursors): every
+	// one-lane load and store has its own, numbered densely at bind.
+	cur int32
 
 	// Register-file offsets (register index * vm.MaxLanes).
 	dst, a, b, c int
@@ -103,8 +105,9 @@ type bInstr struct {
 // boundProg is the linked program: a contiguous arena of bound instructions
 // plus the top-level span.
 type boundProg struct {
-	instrs []bInstr
-	top    vm.Span
+	instrs  []bInstr
+	top     vm.Span
+	cursors int // one-lane loads and stores: the line cursors a thread needs
 }
 
 // row returns the index of the charge row for one op class at a fixed lane
@@ -148,6 +151,10 @@ func (e *engine) bind(fp *vm.FlatProg) *boundProg {
 		bi := &bp.instrs[i]
 		e.bindInstr(bi, &fp.Instrs[i])
 		bi.idx = int32(i)
+		if bi.w == 1 && (bi.op == vm.OpLoad || bi.op == vm.OpStore) {
+			bi.cur = int32(bp.cursors)
+			bp.cursors++
+		}
 		bi.fn = bindHandler(bi)
 	}
 	return bp

@@ -176,11 +176,11 @@ func (e *engine) readyThread(t *threadCtx, id int) *threadCtx {
 		clear(t.regs)
 	}
 	t.regBase = unsafe.Pointer(&t.regs[0])
-	ni := len(e.bp.instrs)
-	if cap(t.cursors) < ni {
-		t.cursors = make([]cache.LineCursor, ni)
+	nc := e.bp.cursors
+	if cap(t.cursors) < nc {
+		t.cursors = make([]cache.LineCursor, nc)
 	} else {
-		t.cursors = t.cursors[:ni]
+		t.cursors = t.cursors[:nc]
 		clear(t.cursors)
 	}
 	t.mask = t.fullMask()

@@ -33,7 +33,7 @@ func (t *threadCtx) touchLineMLP(lineAddr uint64, write bool, mlp float64) {
 // levels near the root), which the cursor's L1 fast path serves without a
 // set probe or prefetcher lookup — bit-identically, see cache.TouchLine.
 func (t *threadCtx) touchCursor(bi *bInstr, lineAddr uint64, write bool, mlp float64) {
-	lvl, lat := t.hier.TouchLine(&t.cursors[bi.idx], lineAddr, write)
+	lvl, lat := t.hier.TouchLine(&t.cursors[bi.cur], lineAddr, write)
 	if write || lvl == cache.L1 {
 		return
 	}

@@ -307,7 +307,7 @@ func (g *shared) load(t *threadCtx, bi *bInstr) {
 	t.reg(bi.dst)[0] = arr.Data[base]
 	t.cost.add(bi.ch)
 	t.addCarried(bi)
-	lvl, lat := t.hier.TouchLine(&t.cursors[bi.idx], t.e.lineOf(arr.Base+uint64(base)*bi.eb), false)
+	lvl, lat := t.hier.TouchLine(&t.cursors[bi.cur], t.e.lineOf(arr.Base+uint64(base)*bi.eb), false)
 	missed := lvl != cache.L1
 	if missed {
 		if pen := lat - t.e.l1Latency; pen > 0 {

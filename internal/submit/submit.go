@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -283,7 +284,10 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 	cfg.SkipCheck = true
 	ms, err := gap.RunCells(cfg.WithContext(ctx), cells)
 	if err != nil {
-		if ctx.Err() != nil {
+		// Classify by the error, not by ctx's state: an exec error that
+		// arrives after the deadline is the same 422 its memoized repeat
+		// gets.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
 		}
 		return nil, reject(CodeExec, "%v", err)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ninjagap/internal/gap"
 	"ninjagap/internal/kernels"
@@ -221,5 +222,42 @@ func TestProcessCompileErrorEverySubmission(t *testing.T) {
 	}
 	if n := len(s.memo); n != 0 {
 		t.Errorf("compile errors left %d memo entries", n)
+	}
+}
+
+// deadlinePassed reports a passed deadline from Err while its Done
+// channel never closes: a request whose deadline expires after its cells
+// have run, with no timer to race.
+type deadlinePassed struct{ context.Context }
+
+func (deadlinePassed) Err() error { return context.DeadlineExceeded }
+
+// TestProcessExecErrorAfterDeadline checks that a submission gets one
+// status. A kernel that reads out of range is a CodeExec rejection even
+// when the error arrives after the request's deadline, as its memoized
+// repeat is; a run the deadline really stops is still a context error,
+// which the HTTP layer answers 504.
+func TestProcessExecErrorAfterDeadline(t *testing.T) {
+	resetCaches(t)
+	s := NewService(Limits{})
+	src := `kernel oob(f32 restrict x[64], f32 restrict y[64]) {
+    for (i = 0; i < 64; i++) {
+        y[i] = x[i + 8];
+    }
+}`
+	for i := 0; i < 2; i++ {
+		_, err := s.Process(deadlinePassed{context.Background()}, testReq(src), gap.Config{})
+		var se *Error
+		if !errors.As(err, &se) || se.Code != CodeExec || se.HTTPStatus() != http.StatusUnprocessableEntity {
+			t.Errorf("submission %d: error %v, want 422 %s", i+1, err, CodeExec)
+		}
+	}
+
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := s.Process(ctx, testReq(src), gap.Config{})
+	var se *Error
+	if !errors.Is(err, context.DeadlineExceeded) || errors.As(err, &se) {
+		t.Errorf("submission past its deadline: error %v, want a context.DeadlineExceeded", err)
 	}
 }
