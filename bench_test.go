@@ -164,8 +164,9 @@ func BenchmarkAblations(b *testing.B) {
 // timed region (executions mutate instance arrays in place, so each
 // iteration needs a fresh instance; generated inputs are memoized per
 // size, so the re-prepare is cheap) and validation is skipped — what
-// remains is exactly the engine hot path the pre-binding, L1 fast path
-// and pooling work targets. `go test -bench=Engine` sweeps the grid.
+// remains is exactly the engine hot path the pre-binding, cache
+// simulation and pooling work targets. `go test -bench=Engine` sweeps
+// the grid.
 func BenchmarkEngine(b *testing.B) {
 	m := WestmereX980()
 	for _, k := range Benchmarks() {

@@ -58,8 +58,7 @@ type level struct {
 	// the first invalid way and only a reset invalidates, so a level holds
 	// only as many planes as the fullest set has needed (a fill appends
 	// one when every allocated way of its set is valid), and a probe
-	// stops at the first invalid way. Planes never move once allocated,
-	// so a pointer to a line stays valid as planes are added.
+	// stops at the first invalid way.
 	planes   [][]line
 	numSets  int
 	assoc    int
@@ -326,9 +325,6 @@ func Key(m *machine.Machine, cfg Config) string {
 	return string(b)
 }
 
-// LineBytes returns the cache line size.
-func (h *Hierarchy) LineBytes() int { return h.lineBytes }
-
 // DRAMBytes returns cumulative DRAM traffic (fills plus write-backs).
 func (h *Hierarchy) DRAMBytes() uint64 { return h.dramBytes }
 
@@ -452,8 +448,7 @@ func (h *Hierarchy) AccessCost(addr uint64, write bool) (Level, float64) {
 		lvl, lat = h.missCost(addr, write)
 	}
 	if pf := h.pf; pf != nil {
-		if s := pf.cachedStream(addr >> 12); s != nil && pf.lineShift != 0 &&
-			addr>>pf.lineShift == s.lastLine {
+		if s := pf.cachedStream(addr >> 12); s != nil && addr>>pf.lineShift == s.lastLine {
 			// Same page, same line as the last observation: observe()
 			// would compute a zero delta and return without touching any
 			// state, so skip the call.
@@ -499,60 +494,6 @@ func (h *Hierarchy) lowerDemand(addr uint64, write bool) (Level, float64) {
 	h.dramBytes += uint64(h.lineBytes)
 	h.fillBelowL1(len(h.levels), addr, false)
 	return Mem, h.memLat
-}
-
-// AccessRun simulates n consecutive demand line accesses starting at the
-// line-aligned address line0 (the interpreter's unit-stride vector loads and
-// stores touch exactly such ascending runs). Side effects are identical to n
-// AccessCost calls in ascending line order, followers' included (their
-// LastMiss is then the run's last miss). Read miss stalls are charged
-// into *stall per line — (latency - l1Lat)/mlp, added in line order — so the
-// float accumulation order matches the per-line caller exactly; write misses
-// charge no stall (store buffering), and neither do L1 hits (pipelined L1
-// latency). Hoisting the level-0 and prefetcher fields out of the per-line
-// loop is what the batch buys over repeated AccessCost calls.
-func (h *Hierarchy) AccessRun(line0 uint64, n int, write bool, l1Lat, mlp float64, stall *float64) {
-	l0 := h.levels[0]
-	pf := h.pf
-	lb := uint64(h.lineBytes)
-	addr := line0
-	for k := 0; k < n; k++ {
-		lineAddr := addr >> l0.offBits
-		set, tag := lineAddr&l0.setMask, lineAddr>>l0.tagShift
-		l0.stats.Accesses++
-		l0.clock++
-		if ln := l0.find(set, tag); ln != nil {
-			ln.lastUse = l0.clock
-			if ln.prefetch {
-				ln.prefetch = false
-				l0.stats.PrefetchHits++
-			}
-			if write {
-				ln.dirty = true
-			}
-			l0.stats.Hits++
-		} else {
-			l0.stats.Misses++
-			_, lat := h.missCost(addr, write)
-			if !write {
-				if pen := lat - l1Lat; pen > 0 {
-					*stall += pen / mlp
-				}
-			}
-		}
-		if pf != nil {
-			if s := pf.cachedStream(addr >> 12); s != nil && pf.lineShift != 0 &&
-				addr>>pf.lineShift == s.lastLine {
-				// Same page, same line: observe would be a no-op (see
-				// AccessCost).
-			} else {
-				for _, pa := range pf.observe(addr) {
-					h.prefetchFill(pa)
-				}
-			}
-		}
-		addr += lb
-	}
 }
 
 // fillBelowL1 installs the line into levels [1, upto), deepest first, as

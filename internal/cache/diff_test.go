@@ -1,16 +1,15 @@
 package cache
 
-// Differential tests of the hierarchy. The three entry points (AccessCost,
-// TouchLine through a line cursor, AccessRun over a run of lines) promise
-// the same side effects, and a leader with followers attached promises
-// each follower what it would have seen alone; both promises are checked
-// access by access over random demand streams. FuzzHierarchyDifferential's
-// committed corpus (testdata/fuzz) runs as an ordinary test.
+// Differential tests of the hierarchy. AccessCost promises the policy the
+// reference model in ref_test.go spells out, and a leader with followers
+// attached promises each follower what it would have seen alone; both
+// promises are checked access by access over random demand streams.
+// FuzzHierarchyDifferential's committed corpus (testdata/fuzz) runs as an
+// ordinary test.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,21 +19,27 @@ import (
 
 // op is one step of a demand stream: n ascending lines from line (a
 // line-aligned address), read or written. off is a byte offset into the
-// first line, which AccessCost receives unaligned; cur is the stream's
-// line cursor for TouchLine.
+// first line, which AccessCost receives unaligned.
 type op struct {
 	line  uint64
 	off   uint64
 	n     int
 	write bool
-	cur   int
+}
+
+// addr returns the address of the step's i-th line.
+func (o op) addr(i int) uint64 {
+	if i == 0 {
+		return o.line + o.off
+	}
+	return o.line + uint64(i)*64
 }
 
 // genStream derives a demand stream of length ops from seed. Four streams
-// interleave, each with its own cursor: a unit-stride walk (4- or 8-byte
-// steps, so most touches repeat a line; one step in eight is a run of 2-8
-// lines), a large stride through 4 KiB-aligned sets, random lines in a
-// 4 MiB span, and a pointer chase over a random cycle of 16384 lines.
+// interleave: a unit-stride walk (4- or 8-byte steps, so most touches
+// repeat a line; one step in eight is a run of 2-8 lines), a large
+// stride through 4 KiB-aligned sets, random lines in a 4 MiB span, and a
+// pointer chase over a random cycle of 16384 lines.
 // writePct/256 of the steps write.
 func genStream(seed int64, length int, writePct uint8) []op {
 	r := rand.New(rand.NewSource(seed))
@@ -50,9 +55,9 @@ func genStream(seed int64, length int, writePct uint8) []op {
 	ptr := 0
 	out := make([]op, 0, length)
 	for len(out) < length {
-		o := op{n: 1, write: r.Intn(256) < int(writePct), cur: r.Intn(4)}
+		o := op{n: 1, write: r.Intn(256) < int(writePct)}
 		var addr uint64
-		switch o.cur {
+		switch r.Intn(4) {
 		case 0:
 			if r.Intn(8) == 0 {
 				o.n = 2 + r.Intn(7)
@@ -91,51 +96,37 @@ func sameState(t *testing.T, what string, step int, got, want *Hierarchy) {
 	}
 }
 
-// checkEntryPoints drives one stream through AccessCost, TouchLine and
-// AccessRun on three hierarchies built alike. Per access, TouchLine must
-// return AccessCost's level and latency, and AccessRun must miss L1 where
-// AccessCost did; per step, AccessRun's stall must equal the stall
-// AccessCost's results give, bit for bit; and the three must end every
-// step with equal statistics and DRAM traffic.
-func checkEntryPoints(t *testing.T, m *machine.Machine, cfg Config, ops []op) {
-	hA, hT, hR := New(m, cfg), New(m, cfg), New(m, cfg)
-	var curs [4]LineCursor
-	l1Lat, mlp := m.Caches[0].Latency, 3.0
-	var stallA, stallR float64
+// checkReference drives one stream through a hierarchy and through the
+// reference model of the same machine and config. Per access, the two
+// must serve the same level with the same latency; after every step, they
+// must report the same statistics and DRAM traffic.
+func checkReference(t *testing.T, m *machine.Machine, cfg Config, ops []op) {
+	h, ref := New(m, cfg), newRefHierarchy(m, cfg)
 	for k, o := range ops {
-		missA := uint64(0)
 		for i := 0; i < o.n; i++ {
-			line := o.line + uint64(i)*64
-			off := uint64(0)
-			if i == 0 {
-				off = o.off
-			}
-			a := served{}
-			a.lvl, a.lat = hA.AccessCost(line+off, o.write)
-			tt := served{}
-			tt.lvl, tt.lat = hT.TouchLine(&curs[o.cur], line, o.write)
-			if a != tt {
-				t.Fatalf("step %d line %#x: AccessCost %+v, TouchLine %+v", k, line, a, tt)
-			}
-			if a.lvl != L1 {
-				missA++
-				// The engine's read miss stall, as AccessRun charges it.
-				if pen := a.lat - l1Lat; !o.write && pen > 0 {
-					stallA += pen / mlp
-				}
+			var got, want served
+			got.lvl, got.lat = h.AccessCost(o.addr(i), o.write)
+			want.lvl, want.lat = ref.access(o.addr(i), o.write)
+			if got != want {
+				t.Fatalf("%s step %d address %#x: served %+v, reference %+v", m.Name, k, o.addr(i), got, want)
 			}
 		}
-		before := hR.levels[0].stats.Misses
-		hR.AccessRun(o.line, o.n, o.write, l1Lat, mlp, &stallR)
-		if got := hR.levels[0].stats.Misses - before; got != missA {
-			t.Fatalf("step %d: AccessRun missed L1 %d times, AccessCost %d", k, got, missA)
+		if !reflect.DeepEqual(h.Stats(), ref.stats()) || h.DRAMBytes() != ref.dram {
+			t.Fatalf("%s step %d: diverged from the reference\n got: %+v dram %d\nwant: %+v dram %d",
+				m.Name, k, h.Stats(), h.DRAMBytes(), ref.stats(), ref.dram)
 		}
-		if math.Float64bits(stallA) != math.Float64bits(stallR) {
-			t.Fatalf("step %d: AccessRun stall %v, AccessCost stall %v", k, stallR, stallA)
-		}
-		sameState(t, "TouchLine", k, hT, hA)
-		sameState(t, "AccessRun", k, hR, hA)
 	}
+}
+
+// smallLowerLevels returns Westmere with a 64 KB 4-way L2 and a 512 KB
+// 8-way L3, small enough that the generated streams hit, and write back
+// from, every level below L1.
+func smallLowerLevels() *machine.Machine {
+	m := machine.WestmereX980().Clone()
+	m.Name = "Westmere with small L2/L3"
+	m.Caches[1].SizeBytes, m.Caches[1].Assoc = 64<<10, 4
+	m.Caches[2].SizeBytes, m.Caches[2].Assoc = 512<<10, 8
+	return m
 }
 
 // followerSpec is one follower's machine and hierarchy config.
@@ -160,9 +151,7 @@ func followerSpecs(cfg Config) []followerSpec {
 		add(m.Name, m, 0)
 	}
 	w := machine.WestmereX980()
-	small := w.Clone()
-	small.Caches[1].SizeBytes, small.Caches[1].Assoc = 64<<10, 4
-	small.Caches[2].SizeBytes, small.Caches[2].Assoc = 512<<10, 8
+	small := smallLowerLevels()
 	add("small L2/L3", small, 0)
 	slow := w.Clone()
 	slow.Caches[1].Latency, slow.Caches[2].Latency, slow.Mem.Latency = 13, 55, 310
@@ -182,14 +171,12 @@ func followerSpecs(cfg Config) []followerSpec {
 }
 
 // checkFollowers drives one stream through a Westmere leader with every
-// followerSpecs hierarchy attached, rotating AccessCost, TouchLine and
-// AccessRun, and the same lines through a solo Westmere and through an
-// independent hierarchy per follower with AccessCost. Per access, the
-// leader must return what the solo Westmere does, and each follower what
-// its independent hierarchy does: its own L1 latency on a leader hit,
-// LastMiss on a miss (for AccessRun, which reports one stall for a run,
-// LastMiss after the run must be the run's last miss). Per step, every
-// hierarchy must match its counterpart's statistics and DRAM traffic.
+// followerSpecs hierarchy attached, and the same accesses through a solo
+// Westmere and through an independent hierarchy per follower. Per access,
+// the leader must return what the solo Westmere does, and each follower
+// what its independent hierarchy does: its own L1 latency on a leader
+// hit, LastMiss on a miss. Per step, every hierarchy must match its
+// counterpart's statistics and DRAM traffic.
 func checkFollowers(t *testing.T, cfg Config, ops []op) {
 	lm := machine.WestmereX980()
 	lead, solo := New(lm, cfg), New(lm, cfg)
@@ -202,57 +189,25 @@ func checkFollowers(t *testing.T, cfg Config, ops []op) {
 	if err := lead.Lead(fs...); err != nil {
 		t.Fatalf("Lead: %v", err)
 	}
-	var curs [4]LineCursor
-	var stall float64
-	last := make([]served, len(specs))
 	for k, o := range ops {
-		if k%3 == 2 {
-			before := lead.levels[0].stats.Misses
-			lead.AccessRun(o.line, o.n, o.write, 4, 2, &stall)
-			missed := lead.levels[0].stats.Misses != before
-			for i := 0; i < o.n; i++ {
-				line := o.line + uint64(i)*64
-				solo.AccessCost(line, o.write)
-				for j, h := range ind {
-					if lvl, lat := h.AccessCost(line, o.write); lvl != L1 {
-						last[j] = served{lvl, lat}
-					}
-				}
-			}
-			for j, f := range fs {
-				got := served{}
-				got.lvl, got.lat = f.LastMiss()
-				if missed && got != last[j] {
-					t.Fatalf("step %d: follower %s's last miss of the run %+v, alone %+v", k, specs[j].name, got, last[j])
-				}
-			}
-		}
-		for i := 0; i < o.n && k%3 != 2; i++ {
-			line := o.line + uint64(i)*64
+		for i := 0; i < o.n; i++ {
+			addr := o.addr(i)
 			before := lead.levels[0].stats.Misses
 			var got, want served
-			if k%3 == 0 {
-				addr := line
-				if i == 0 {
-					addr += o.off
-				}
-				got.lvl, got.lat = lead.AccessCost(addr, o.write)
-			} else {
-				got.lvl, got.lat = lead.TouchLine(&curs[o.cur], line, o.write)
-			}
+			got.lvl, got.lat = lead.AccessCost(addr, o.write)
 			missed := lead.levels[0].stats.Misses != before
-			want.lvl, want.lat = solo.AccessCost(line, o.write)
+			want.lvl, want.lat = solo.AccessCost(addr, o.write)
 			if got != want {
-				t.Fatalf("step %d line %#x: leader served %+v, alone %+v", k, line, got, want)
+				t.Fatalf("step %d address %#x: leader served %+v, alone %+v", k, addr, got, want)
 			}
 			for j, h := range ind {
-				want.lvl, want.lat = h.AccessCost(line, o.write)
+				want.lvl, want.lat = h.AccessCost(addr, o.write)
 				got = served{L1, fs[j].levels[0].latency}
 				if missed {
 					got.lvl, got.lat = fs[j].LastMiss()
 				}
 				if got != want {
-					t.Fatalf("step %d line %#x: follower %s served %+v, alone %+v", k, line, specs[j].name, got, want)
+					t.Fatalf("step %d address %#x: follower %s served %+v, alone %+v", k, addr, specs[j].name, got, want)
 				}
 			}
 		}
@@ -265,14 +220,26 @@ func checkFollowers(t *testing.T, cfg Config, ops []op) {
 
 // FuzzHierarchyDifferential runs both differential checks on one stream:
 // seed picks the stream, length its steps (500 to 4,595), writePct the
-// share of writes, and prefetch whether the prefetcher runs.
+// share of writes, and prefetch whether the prefetcher runs. The
+// reference check runs on Westmere alone (its 12 MB L3 rounds down to
+// 8,192 sets) and with its L3 shared by four cores; on KnightsFerry,
+// whose L2 is its last level; and on smallLowerLevels alone and with its
+// L3 shared by three (341 sets round down to 256), where lines are
+// served, and written back, from every level.
 func FuzzHierarchyDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(2000), uint8(64), true)
 	f.Fuzz(func(t *testing.T, seed int64, length uint16, writePct uint8, prefetch bool) {
 		cfg := Config{Prefetch: prefetch}
 		ops := genStream(seed, 500+int(length)%4096, writePct)
-		checkEntryPoints(t, machine.WestmereX980(), cfg, ops)
-		checkEntryPoints(t, machine.KnightsFerry(), Config{Prefetch: prefetch, ShareFactor: 4}, ops)
+		for _, r := range []struct {
+			m     *machine.Machine
+			share int
+		}{
+			{machine.WestmereX980(), 0}, {machine.WestmereX980(), 4}, {machine.KnightsFerry(), 4},
+			{smallLowerLevels(), 0}, {smallLowerLevels(), 3},
+		} {
+			checkReference(t, r.m, Config{Prefetch: prefetch, ShareFactor: r.share}, ops)
+		}
 		checkFollowers(t, cfg, ops)
 	})
 }

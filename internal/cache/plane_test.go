@@ -331,52 +331,6 @@ func TestPlanesMatchEagerReference(t *testing.T) {
 	}
 }
 
-// TestCursorSurvivesPlaneGrowth seats a line cursor on a line in L1's
-// first plane, fills another set until L1 has all its planes, and checks
-// that the cursor still takes its fast path on the line and agrees with
-// AccessCost touch for touch, until the line is evicted and after.
-func TestCursorSurvivesPlaneGrowth(t *testing.T) {
-	m := machine.WestmereX980()
-	hA, hT := New(m, Config{}), New(m, Config{})
-	var cur LineCursor
-	const setStride = 64 * 64 // L1: 64 sets of 64-byte lines
-	const a = 0x100000
-	touch := func(addr uint64, write bool, what string) {
-		t.Helper()
-		gl, gt := hT.TouchLine(&cur, addr, write)
-		wl, wt := hA.AccessCost(addr, write)
-		if gl != wl || gt != wt {
-			t.Fatalf("%s: TouchLine (%v, %g), AccessCost (%v, %g)", what, gl, gt, wl, wt)
-		}
-	}
-	touch(a, false, "seating touch")
-	l0 := hT.levels[0]
-	set, _ := l0.index(a)
-	if len(l0.planes) != 1 || cur.way != &l0.planes[0][set] {
-		t.Fatalf("cursor not seated in plane 0 of 1 (%d planes)", len(l0.planes))
-	}
-	for i := 1; i <= 8; i++ { // eight lines into the next set: all eight planes
-		hT.AccessCost(a+64+uint64(i*setStride), i%2 == 0)
-		hA.AccessCost(a+64+uint64(i*setStride), i%2 == 0)
-	}
-	if len(l0.planes) != l0.assoc {
-		t.Fatalf("%d L1 planes after filling a set, want %d", len(l0.planes), l0.assoc)
-	}
-	for i := 0; i < 16; i++ {
-		touch(a, i%3 == 0, fmt.Sprintf("touch %d after the planes grew", i))
-	}
-	if !cur.valid || cur.way != &l0.planes[0][set] || cur.miss != 0 {
-		t.Fatalf("cursor left its fast path: valid %v, miss %d", cur.valid, cur.miss)
-	}
-	for i := 1; i <= 8; i++ { // evict the line from L1
-		hT.AccessCost(a+uint64(i*setStride), false)
-		hA.AccessCost(a+uint64(i*setStride), false)
-	}
-	touch(a, false, "touch after eviction")
-	touch(a, true, "second touch after eviction")
-	sameState(t, "cursor hierarchy", 0, hT, hA)
-}
-
 // TestFutureWideHoldsOnePlane walks 64 KiB at unit stride through
 // FutureWide's one-thread hierarchy. Its L3 has far more sets than the
 // walk has lines, so no set holds two and the level keeps one plane of

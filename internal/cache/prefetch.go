@@ -17,7 +17,7 @@ const trackerCap = 32
 // changing which streams exist or when they are evicted.
 type prefetcher struct {
 	degree    int
-	lineBytes uint64
+	lineShift uint // log2 of the line size
 
 	pages   [trackerCap]uint64 // page number per live slot
 	streams [trackerCap]stream
@@ -32,7 +32,6 @@ type prefetcher struct {
 	lastPages   [streamSlots]uint64
 	lastStreams [streamSlots]*stream
 	buf         []uint64
-	lineShift   uint // log2(lineBytes) when a power of two (>1), else 0
 }
 
 // streamSlots sizes the resolved-stream cache (must be a power of two).
@@ -50,15 +49,11 @@ type stream struct {
 }
 
 func newPrefetcher(degree, lineBytes int) *prefetcher {
-	p := &prefetcher{
+	return &prefetcher{
 		degree:    degree,
-		lineBytes: uint64(lineBytes),
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		buf:       make([]uint64, 0, degree),
 	}
-	if lb := uint64(lineBytes); lb > 1 && lb&(lb-1) == 0 {
-		p.lineShift = uint(bits.TrailingZeros64(lb))
-	}
-	return p
 }
 
 // reset forgets all streams (used when a pooled hierarchy is recycled).
@@ -86,12 +81,7 @@ func (p *prefetcher) cacheStream(page uint64, s *stream) {
 // The returned slice is reused by the next call.
 func (p *prefetcher) observe(addr uint64) []uint64 {
 	page := addr >> 12
-	var lineAddr uint64
-	if p.lineShift != 0 {
-		lineAddr = addr >> p.lineShift
-	} else {
-		lineAddr = addr / p.lineBytes
-	}
+	lineAddr := addr >> p.lineShift
 	s := p.cachedStream(page)
 	if s == nil {
 		for i := 0; i < p.live; i++ {
@@ -150,7 +140,7 @@ func (p *prefetcher) observe(addr uint64) []uint64 {
 		if next < 0 {
 			break
 		}
-		na := uint64(next) * p.lineBytes
+		na := uint64(next) << p.lineShift
 		if na>>12 != page {
 			break
 		}

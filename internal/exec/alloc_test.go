@@ -33,19 +33,18 @@ func allocProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 }
 
 // interpProbeProg builds a program that drives the pure-interpreter hot
-// paths the threaded dispatcher owns: scalar loads and stores (the
-// LineCursor path), scalar arithmetic, a compare feeding a mask push, a
-// masked if, and a data-dependent while loop — n scalar iterations with no
-// vector loop.
+// paths the threaded dispatcher owns: scalar loads and stores, scalar
+// arithmetic, a compare feeding a mask push, a masked if, and a
+// data-dependent while loop — n scalar iterations with no vector loop.
 func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 	b := vm.NewBuilder("interpprobe")
 	src := b.Array("src", 4)
 	dst := b.Array("dst", 4)
 	one := b.Const(1)
 	i := b.Loop(0, n)
-	v := b.LoadScalar(src, i)        // scalar load through a cursor
+	v := b.LoadScalar(src, i)        // scalar load handler
 	w := b.Scalar2(vm.OpAdd, v, one) // scalar arithmetic handler
-	b.StoreScalar(dst, w, i)         // scalar store through a cursor
+	b.StoreScalar(dst, w, i)         // scalar store handler
 	c := b.Op2(vm.OpCmpLT, v, one)   // compare feeding a mask push
 	b.IfMask(c)
 	b.Op1(vm.OpNeg, v)
@@ -68,9 +67,9 @@ func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 // TestInterpreterPathAllocs is TestSlowMemoryPathAllocs for the threaded
 // dispatcher itself: a 32x larger pure-interpreter problem (every dynamic
 // instruction goes through handler dispatch, the scalar handlers, the
-// charge-row counters and the scalar cursor path) must not allocate more
+// charge-row counters and the scalar memory path) must not allocate more
 // than the small problem plus a small constant. Per-thread state — the
-// register file, the cursor table, the mask stack, the cost accumulator —
+// register file, the mask stack, the cost accumulator —
 // is pooled and sized by the program, never by n.
 func TestInterpreterPathAllocs(t *testing.T) {
 	m := machine.WestmereX980()

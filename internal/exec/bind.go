@@ -55,9 +55,6 @@ type bInstr struct {
 
 	// idx is the instruction's arena index.
 	idx int32
-	// cur indexes the thread's line cursors (threadCtx.cursors): every
-	// one-lane load and store has its own, numbered densely at bind.
-	cur int32
 
 	// Register-file offsets (register index * vm.MaxLanes).
 	dst, a, b, c int
@@ -105,9 +102,8 @@ type bInstr struct {
 // boundProg is the linked program: a contiguous arena of bound instructions
 // plus the top-level span.
 type boundProg struct {
-	instrs  []bInstr
-	top     vm.Span
-	cursors int // one-lane loads and stores: the line cursors a thread needs
+	instrs []bInstr
+	top    vm.Span
 }
 
 // row returns the index of the charge row for one op class at a fixed lane
@@ -151,10 +147,6 @@ func (e *engine) bind(fp *vm.FlatProg) *boundProg {
 		bi := &bp.instrs[i]
 		e.bindInstr(bi, &fp.Instrs[i])
 		bi.idx = int32(i)
-		if bi.w == 1 && (bi.op == vm.OpLoad || bi.op == vm.OpStore) {
-			bi.cur = int32(bp.cursors)
-			bp.cursors++
-		}
 		bi.fn = bindHandler(bi)
 	}
 	return bp

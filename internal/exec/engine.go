@@ -25,7 +25,7 @@ type engine struct {
 	W         int
 	wMask     uint32 // (1<<W)-1: the full active mask
 	lineBytes int
-	lineMask  uint64 // ^(lineBytes-1) when lineBytes is a power of two, else 0
+	lineMask  uint64 // ^(lineBytes-1): Validate admits only power-of-two lines
 	bp        *boundProg
 	rows      []chargeRow // charge-row table; bInstr rows index it
 	threads   []*threadCtx
@@ -84,9 +84,7 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 		return nil, err
 	}
 	e := &engine{prog: prog, m: m, opt: opt, lineBytes: m.Caches[0].LineBytes}
-	if lb := uint64(e.lineBytes); lb&(lb-1) == 0 {
-		e.lineMask = ^(lb - 1)
-	}
+	e.lineMask = ^uint64(e.lineBytes - 1)
 	e.l1Latency = m.Caches[0].Latency
 	e.loadPort = m.Cost(machine.OpLoad).Port
 	e.storePort = m.Cost(machine.OpStore).Port
@@ -151,13 +149,7 @@ func layout(m *machine.Machine, opt Options) (threads, cores int, hc cache.Confi
 }
 
 // lineOf rounds an address down to its cache-line base.
-func (e *engine) lineOf(addr uint64) uint64 {
-	if e.lineMask != 0 {
-		return addr & e.lineMask
-	}
-	lb := uint64(e.lineBytes)
-	return addr / lb * lb
-}
+func (e *engine) lineOf(addr uint64) uint64 { return addr & e.lineMask }
 
 // readyThread resets a pooled context t, or builds one when t is nil, to
 // the fresh-context state for thread id: zero registers, full mask, cold
@@ -176,13 +168,6 @@ func (e *engine) readyThread(t *threadCtx, id int) *threadCtx {
 		clear(t.regs)
 	}
 	t.regBase = unsafe.Pointer(&t.regs[0])
-	nc := e.bp.cursors
-	if cap(t.cursors) < nc {
-		t.cursors = make([]cache.LineCursor, nc)
-	} else {
-		t.cursors = t.cursors[:nc]
-		clear(t.cursors)
-	}
 	t.mask = t.fullMask()
 	t.act = e.W
 	t.maskStack = t.maskStack[:0]

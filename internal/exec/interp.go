@@ -30,12 +30,6 @@ type threadCtx struct {
 	lastDRAM  uint64
 	err       error
 	whileIter uint64 // runaway-loop guard
-	// cursors is one cache.LineCursor per one-lane load or store (indexed
-	// by bInstr.cur): they touch their line through the cursor, so tight
-	// scalar walks (merge loops, ray marches) that stay on one line skip
-	// the set probe and prefetcher table. Sized and cleared per run in
-	// readyThread.
-	cursors []cache.LineCursor
 	// memLines is the distinct-line scratch of the slow memory paths
 	// (slowLoad/slowStore/gather/scatter). Living on the context, it is
 	// neither re-zeroed nor re-allocated per access — the paths track the

@@ -27,32 +27,12 @@ func (t *threadCtx) touchLineMLP(lineAddr uint64, write bool, mlp float64) {
 	}
 }
 
-// touchCursor is touchLineMLP through the instruction's per-thread line
-// cursor: the scalar load/store paths touch one line per access and very
-// often the same line many times in a row (merge runs, ray marches, tree
-// levels near the root), which the cursor's L1 fast path serves without a
-// set probe or prefetcher lookup — bit-identically, see cache.TouchLine.
-func (t *threadCtx) touchCursor(bi *bInstr, lineAddr uint64, write bool, mlp float64) {
-	lvl, lat := t.hier.TouchLine(&t.cursors[bi.cur], lineAddr, write)
-	if write || lvl == cache.L1 {
-		return
-	}
-	pen := lat - t.e.l1Latency
-	if pen > 0 {
-		t.cost.stall += pen / mlp
-	}
-}
-
 // accessRun simulates the ascending duplicate-free line run [first, last]
-// of a contiguous vector access via the hierarchy's batched path,
-// accumulating read miss stalls in line order (bit-identical to per-line
-// touchLineMLP calls).
+// of a contiguous vector access, one line at a time in ascending order.
 func (t *threadCtx) accessRun(first, last uint64, write bool, mlp float64) {
-	n := 1
-	if last != first {
-		n += int((last - first) / uint64(t.e.lineBytes))
+	for la := first; la <= last; la += uint64(t.e.lineBytes) {
+		t.touchLineMLP(la, write, mlp)
 	}
-	t.hier.AccessRun(first, n, write, t.e.l1Latency, mlp, &t.cost.stall)
 }
 
 func (t *threadCtx) boundsErr(bi *bInstr, idx int64) {
@@ -157,7 +137,7 @@ func (t *threadCtx) slowLoad(bi *bInstr, w int, base int64) {
 }
 
 // hLoadS is the scalar load, and load's w == 1 path: lane 0 reads
-// arr[base], touching its line through the instruction's cursor.
+// arr[base].
 func hLoadS(t *threadCtx, bi *bInstr) {
 	arr := bi.arr
 	base := int64(t.reg(bi.a)[0])
@@ -168,7 +148,7 @@ func hLoadS(t *threadCtx, bi *bInstr) {
 	t.reg(bi.dst)[0] = arr.Data[base]
 	t.cost.add(bi.ch)
 	t.addCarried(bi)
-	t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*bi.eb), false, bi.mlp)
+	t.touchLineMLP(t.e.lineOf(arr.Base+uint64(base)*bi.eb), false, bi.mlp)
 }
 
 // store implements OpStore: lane l writes arr[base + l*stride] (masked).
@@ -202,7 +182,7 @@ func (t *threadCtx) store(bi *bInstr, w int) {
 }
 
 // hStoreS is the scalar store, and store's w == 1 path: lane 0 writes
-// arr[base], touching its line through the instruction's cursor.
+// arr[base].
 func hStoreS(t *threadCtx, bi *bInstr) {
 	arr := bi.arr
 	base := int64(t.reg(bi.b)[0])
@@ -212,7 +192,7 @@ func hStoreS(t *threadCtx, bi *bInstr) {
 	}
 	arr.Data[base] = t.reg(bi.a)[0]
 	t.cost.add(bi.ch)
-	t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*bi.eb), true, bi.mlp)
+	t.touchLineMLP(t.e.lineOf(arr.Base+uint64(base)*bi.eb), true, bi.mlp)
 }
 
 // slowStore is the general (masked / strided / scattering) vector-store path.

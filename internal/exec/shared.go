@@ -292,11 +292,11 @@ func (g *shared) carried(i int) bool {
 	return false
 }
 
-// load is hLoadS for the leader, touching its line through the cursor as
-// touchCursor does; then each follower adds its carried stall and, when
-// the access missed L1, the miss stall of what its own lower levels served
-// the miss with. A load that is not carried (no machine has a carried
-// stall for it) and hit L1 owes the followers nothing.
+// load is hLoadS for the leader; then each follower adds its carried
+// stall and, when the access missed L1, the miss stall of what its own
+// lower levels served the miss with. A load that is not carried (no
+// machine has a carried stall for it) and hit L1 owes the followers
+// nothing.
 func (g *shared) load(t *threadCtx, bi *bInstr) {
 	arr := bi.arr
 	base := int64(t.reg(bi.a)[0])
@@ -307,7 +307,7 @@ func (g *shared) load(t *threadCtx, bi *bInstr) {
 	t.reg(bi.dst)[0] = arr.Data[base]
 	t.cost.add(bi.ch)
 	t.addCarried(bi)
-	lvl, lat := t.hier.TouchLine(&t.cursors[bi.cur], t.e.lineOf(arr.Base+uint64(base)*bi.eb), false)
+	lvl, lat := t.hier.AccessCost(t.e.lineOf(arr.Base+uint64(base)*bi.eb), false)
 	missed := lvl != cache.L1
 	if missed {
 		if pen := lat - t.e.l1Latency; pen > 0 {

@@ -270,6 +270,7 @@ func TestValidateCatchesBadModels(t *testing.T) {
 		{"no bw", func(m *Machine) { m.Mem.BandwidthGBps = 0 }},
 		{"no mlp", func(m *Machine) { m.Mem.MLP = 0 }},
 		{"bad geometry", func(m *Machine) { m.Caches[0].SizeBytes = 1000 }},
+		{"48-byte lines", func(m *Machine) { m.Caches[0].LineBytes, m.Caches[0].SizeBytes = 48, 24576 }},
 		{"shrinking levels", func(m *Machine) { m.Caches[1].SizeBytes = 16 << 10 }},
 		{"missing cost", func(m *Machine) { m.SetCost(OpFPAdd, Cost{}) }},
 		{"negative cost", func(m *Machine) { m.SetCost(OpFPAdd, Cost{RecipTput: -1}) }},

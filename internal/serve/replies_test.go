@@ -222,14 +222,14 @@ func TestMeasureMemoServesRepeats(t *testing.T) {
 
 // TestMeasureMemoSkipsFailures checks that no failed measure is stored:
 // 400s from validation (threads above the machine's hardware threads, a
-// bad n, an unknown machine, a non-finite scale) or from rendering
-// (measures have no CSV form), and 504s.
+// bad or oversized n, an unknown machine, a non-finite scale) or from
+// rendering (measures have no CSV form), and 504s.
 func TestMeasureMemoSkipsFailures(t *testing.T) {
 	const base = "/v1/measure?bench=blackscholes&version=naive"
 	s := New(smallCfg())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, q := range []string{"&threads=13", "&n=abc", "&n=0", "&machine=nope", "&scale=NaN", "&format=csv"} {
+	for _, q := range []string{"&threads=13", "&n=abc", "&n=0", "&n=1000000000", "&machine=nope", "&scale=NaN", "&format=csv"} {
 		for i := 1; i <= 2; i++ {
 			if code, body, _ := get(t, ts.URL+base+q); code != http.StatusBadRequest {
 				t.Errorf("GET %s #%d = %d (%s), want 400", base+q, i, code, body)
@@ -298,15 +298,17 @@ func TestMeasureMemoKeys(t *testing.T) {
 }
 
 // TestReplyMemoBounded checks that more distinct keys than the bound
-// leave at most the bound in the memo.
+// leave at most the bound in the memo. The keys are scales i/256, all
+// inside the daemon's size limit.
 func TestReplyMemoBounded(t *testing.T) {
 	s, calls := countingServer(smallCfg(), nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	const keys = maxReplyEntries + 16
 	for i := 1; i <= keys; i++ {
-		if code, body, _ := get(t, ts.URL+"/v1/figure/fig1?scale="+strconv.Itoa(i)); code != http.StatusOK {
-			t.Fatalf("scale %d = %d: %s", i, code, body)
+		scale := strconv.FormatFloat(float64(i)/256, 'g', -1, 64)
+		if code, body, _ := get(t, ts.URL+"/v1/figure/fig1?scale="+scale); code != http.StatusOK {
+			t.Fatalf("scale %s = %d: %s", scale, code, body)
 		}
 	}
 	if n := calls.Load(); n != keys {

@@ -188,13 +188,38 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	}
 }
 
+// maxScale bounds a request's ?scale=, and through checkSize its ?n=:
+// twice the paper-size inputs, the largest scale the reproduction has
+// measured. Larger inputs can exhaust host memory (blackscholes at
+// n=10^9 allocates about 8 GB) and end the daemon for every client. The
+// CLIs, and the daemon's own -scale, take any finite scale.
+const maxScale = 2
+
+// checkSize refuses a requested scale above maxScale and, for a measure
+// of bench b (nil otherwise), a resolved n above b's size at maxScale.
+func checkSize(scale float64, b kernels.Benchmark, n int) error {
+	if scale > maxScale {
+		return fmt.Errorf("scale %g exceeds the limit %d", scale, maxScale)
+	}
+	if b != nil {
+		if limit := gap.SizeFor(b, gap.Config{Scale: maxScale}); n > limit {
+			return fmt.Errorf("n %d exceeds %s's limit %d, its size at scale %d", n, b.Name(), limit, maxScale)
+		}
+	}
+	return nil
+}
+
 // requestConfig builds the experiment Config for one request: server
 // defaults and the query's overrides. ?scale= parses as the CLIs' -scale
-// does (gap.ParseScale): a positive finite number or a preset name.
+// does (gap.ParseScale), a positive finite number or a preset name, and
+// must pass checkSize.
 func (s *Server) requestConfig(q url.Values) (gap.Config, error) {
 	cfg := gap.Config{Scale: s.cfg.Scale, Jobs: s.cfg.Jobs, Benches: s.cfg.Benches}
 	if v := q.Get("scale"); v != "" {
 		f, err := gap.ParseScale(v)
+		if err == nil {
+			err = checkSize(f, nil, 0)
+		}
 		if err != nil {
 			return cfg, err
 		}
@@ -388,6 +413,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		n = gap.LegalN(b, nv)
+		if err := checkSize(0, b, n); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
 	// The engine builds a thread context, with its own cache hierarchy,
 	// per simulated thread, so an unbounded count would exhaust host

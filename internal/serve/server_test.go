@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ninjagap/internal/gap"
+	"ninjagap/internal/kernels"
 )
 
 // smallCfg keeps handler tests fast: two quick benchmarks at test scale.
@@ -153,6 +155,11 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/measure?bench=blackscholes&version=naive&scale=NaN", http.StatusBadRequest, "bad scale"},
 		{"/v1/measure?bench=blackscholes&version=naive&scale=nan", http.StatusBadRequest, "bad scale"},
 		{"/v1/measure?bench=blackscholes&version=naive&scale=Inf", http.StatusBadRequest, "bad scale"},
+		// Sizes the host cannot hold are refused: n=10^9 asks blackscholes
+		// for about 8 GB of inputs.
+		{"/v1/figure/fig1?scale=1e9", http.StatusBadRequest, "exceeds the limit"},
+		{"/v1/measure?bench=blackscholes&version=naive&scale=1e9", http.StatusBadRequest, "exceeds the limit"},
+		{"/v1/measure?bench=blackscholes&version=naive&n=1000000000", http.StatusBadRequest, "exceeds blackscholes's limit"},
 	}
 	for _, tc := range cases {
 		code, body, _ := get(t, ts.URL+tc.path)
@@ -161,6 +168,30 @@ func TestBadRequests(t *testing.T) {
 		}
 		if !strings.Contains(string(body), tc.msg) {
 			t.Errorf("GET %s: body %q does not contain %q", tc.path, body, tc.msg)
+		}
+	}
+	if code, body, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK || string(body) != "ok\n" {
+		t.Errorf("healthz after the bad requests = %d %q, want 200 ok", code, body)
+	}
+}
+
+// TestCheckSize checks the size limit at the cap and one step above it:
+// scale 2 and the next float, and per benchmark its size at scale 2 and
+// one more element.
+func TestCheckSize(t *testing.T) {
+	if err := checkSize(maxScale, nil, 0); err != nil {
+		t.Errorf("scale %d: %v", maxScale, err)
+	}
+	if above := math.Nextafter(maxScale, 3); checkSize(above, nil, 0) == nil {
+		t.Errorf("scale %v passed", above)
+	}
+	for _, b := range kernels.All() {
+		limit := gap.SizeFor(b, gap.Config{Scale: maxScale})
+		if err := checkSize(0, b, limit); err != nil {
+			t.Errorf("%s n=%d: %v", b.Name(), limit, err)
+		}
+		if checkSize(0, b, limit+1) == nil {
+			t.Errorf("%s n=%d passed", b.Name(), limit+1)
 		}
 	}
 }
