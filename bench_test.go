@@ -218,7 +218,7 @@ func benchEachKernel(b *testing.B, v Version) {
 			var simSeconds float64
 			for i := 0; i < b.N; i++ {
 				gap.ResetMemo()
-				meas, err := gap.Measure(k, v, m, n, false)
+				meas, err := gap.Measure(k, v, m, n)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -40,7 +40,9 @@ func (o op) addr(i int) uint64 {
 // repeat a line; one step in eight is a run of 2-8 lines), a large
 // stride through 4 KiB-aligned sets, random lines in a 4 MiB span, and a
 // pointer chase over a random cycle of 16384 lines.
-// writePct/256 of the steps write.
+// writePct/256 of the steps write. A fixed tail of reads follows (see
+// prefetchedBelowL1), so every stream ends by demanding a prefetched line
+// that only the levels below L1 still hold.
 func genStream(seed int64, length int, writePct uint8) []op {
 	r := rand.New(rand.NewSource(seed))
 	const lb = 64
@@ -83,7 +85,26 @@ func genStream(seed int64, length int, writePct uint8) []op {
 		o.line, o.off = addr&^(lb-1), addr&(lb-1)
 		out = append(out, o)
 	}
-	return out
+	return append(out, prefetchedBelowL1()...)
+}
+
+// prefetchedBelowL1 is genStream's tail, on pages no other stream
+// touches. Reading lines 0-2 of an even page confirms a one-line stride,
+// so the prefetcher fetches lines 3 and 4 into every level. Line 3 of
+// eight odd pages then evicts line 3 from its L1 set (every L1 modeled
+// has 64 sets of 8 ways), while every lower level of 128 sets or more
+// keeps it, since odd pages map to its other sets. The final read claims
+// the prefetched line below L1.
+func prefetchedBelowL1() []op {
+	const base, page, lb = 1 << 29, 4096, 64
+	var out []op
+	for l := uint64(0); l < 3; l++ {
+		out = append(out, op{line: base + l*lb, n: 1})
+	}
+	for p := uint64(1); p < 16; p += 2 {
+		out = append(out, op{line: base + p*page + 3*lb, n: 1})
+	}
+	return append(out, op{line: base + 3*lb, n: 1})
 }
 
 // sameState fails t unless two hierarchies report identical statistics
@@ -219,13 +240,14 @@ func checkFollowers(t *testing.T, cfg Config, ops []op) {
 }
 
 // FuzzHierarchyDifferential runs both differential checks on one stream:
-// seed picks the stream, length its steps (500 to 4,595), writePct the
-// share of writes, and prefetch whether the prefetcher runs. The
-// reference check runs on Westmere alone (its 12 MB L3 rounds down to
-// 8,192 sets) and with its L3 shared by four cores; on KnightsFerry,
-// whose L2 is its last level; and on smallLowerLevels alone and with its
-// L3 shared by three (341 sets round down to 256), where lines are
-// served, and written back, from every level.
+// seed picks the stream, length its random steps (500 to 4,595, before
+// genStream's fixed tail), writePct the share of writes, and prefetch
+// whether the prefetcher runs. The reference check runs on Westmere alone
+// (its 12 MB L3 rounds down to 8,192 sets) and with its L3 shared by four
+// cores; on KnightsFerry, whose L2 is its last level; and on
+// smallLowerLevels alone and with its L3 shared by three (341 sets round
+// down to 256), where lines are served, and written back, from every
+// level.
 func FuzzHierarchyDifferential(f *testing.F) {
 	f.Add(int64(1), uint16(2000), uint8(64), true)
 	f.Fuzz(func(t *testing.T, seed int64, length uint16, writePct uint8, prefetch bool) {
@@ -310,7 +332,8 @@ func TestLeadRefuses(t *testing.T) {
 // going vacuous: a committed corpus stream must drive every event a
 // leader forwards (demand misses served by each level below L1 and by
 // DRAM, prefetch fills, dirty write-backs out of every level) through
-// the smallest follower geometry.
+// the smallest follower geometry, and claim prefetched lines in L1 and
+// in L2.
 func TestDifferentialStreamsCoverEvents(t *testing.T) {
 	var small followerSpec
 	for _, s := range followerSpecs(Config{Prefetch: true}) {
@@ -332,5 +355,8 @@ func TestDifferentialStreamsCoverEvents(t *testing.T) {
 	}
 	if st[0].PrefetchHits == 0 {
 		t.Error("no demand hit on a prefetched line")
+	}
+	if st[1].PrefetchHits == 0 {
+		t.Error("no demand hit on a prefetched line below L1")
 	}
 }

@@ -26,11 +26,6 @@ type Options struct {
 	// HonorPragmas honors #pragma simd / ivdep / unroll hints. Without it
 	// the compiler relies purely on its own conservative analysis.
 	HonorPragmas bool
-	// MaxAliasCheckArrays is the largest number of distinct arrays for
-	// which the compiler will insert a runtime aliasing check and
-	// multiversion instead of giving up (default 3, like production
-	// compilers' multiversioning limits).
-	MaxAliasCheckArrays int
 	// FastMath lowers divides and square roots to reciprocal
 	// approximations plus a Newton step (ICC's -no-prec-div /
 	// -no-prec-sqrt, part of the paper's "modern compiler technology").
@@ -44,14 +39,13 @@ func NaiveOptions() Options { return Options{FastMath: true} }
 
 // AutoVecOptions enables auto-vectorization only (no annotations honored).
 func AutoVecOptions() Options {
-	return Options{Vectorize: true, MaxAliasCheckArrays: 3, FastMath: true}
+	return Options{Vectorize: true, FastMath: true}
 }
 
 // PragmaOptions honors the low-effort annotations, threads parallel loops,
 // and enables fast-math lowering of divides and square roots.
 func PragmaOptions() Options {
-	return Options{Vectorize: true, Parallel: true, HonorPragmas: true,
-		MaxAliasCheckArrays: 3, FastMath: true}
+	return Options{Vectorize: true, Parallel: true, HonorPragmas: true, FastMath: true}
 }
 
 // Levels names the option presets in effort order. These are the
@@ -85,9 +79,6 @@ type Result struct {
 func Compile(k *lang.Kernel, opt Options) (*Result, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.MaxAliasCheckArrays == 0 {
-		opt.MaxAliasCheckArrays = 3
 	}
 	c := &cg{
 		b:      vm.NewBuilder(k.Name),

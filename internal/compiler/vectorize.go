@@ -338,6 +338,12 @@ func collectAccesses(body []lang.Stmt) (reads, writes []accessInfo) {
 	return reads, writes
 }
 
+// maxAliasCheckArrays is the largest number of distinct arrays for which
+// the vectorizer inserts a runtime aliasing check and multiversions the
+// loop instead of giving up, like production compilers' multiversioning
+// limits.
+const maxAliasCheckArrays = 3
+
 // legality decides whether a loop can be auto-vectorized and why not,
 // modeling a traditional vectorizing compiler's conservative analysis plus
 // the programmer-assertion escape hatches.
@@ -411,7 +417,7 @@ func (c *cg) legality(st lang.For) (bool, string) {
 			}
 		}
 		if unresolved > 0 {
-			if len(distinct) > c.opt.MaxAliasCheckArrays {
+			if len(distinct) > maxAliasCheckArrays {
 				return false, fmt.Sprintf("possible aliasing among %d arrays exceeds multiversioning limit (add restrict)", len(distinct))
 			}
 			return true, "vectorized with runtime aliasing check (multiversioned)"

@@ -3,7 +3,6 @@ package gap
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"ninjagap/internal/kernels"
 	"ninjagap/internal/machine"
@@ -308,32 +307,18 @@ func (r *LadderResult) Render() string {
 		}
 		t.Add(cells...)
 	}
-	last := r.Versions[len(r.Versions)-1]
-	_ = last
 	return t.String() +
 		fmt.Sprintf("headline: average %.2fX (geomean %.2fX), max %.2fX\n",
 			r.AvgGap, r.GeoGap, r.MaxGap)
 }
 
 // VecReport collects the compiler's vectorization diagnostics for every
-// benchmark at a version (the explanatory half of Figure 4). They depend
-// only on the version and the benchmark list — every benchmark is
-// prepared at its test size on the Westmere preset — so the rendered text
-// is memoized per (version, benchmarks) until ResetMemo.
+// benchmark at a version (the explanatory half of Figure 4). Every
+// benchmark is prepared at its test size on the Westmere preset.
 func VecReport(v kernels.Version, cfg Config) (string, error) {
 	bs, err := cfg.benches()
 	if err != nil {
 		return "", err
-	}
-	key := v.String()
-	for _, b := range bs {
-		key += "|" + b.Name()
-	}
-	vecReports.Lock()
-	s, ok := vecReports.m[key]
-	vecReports.Unlock()
-	if ok {
-		return s, nil
 	}
 	m := machine.WestmereX980()
 	var sb strings.Builder
@@ -346,20 +331,5 @@ func VecReport(v kernels.Version, cfg Config) (string, error) {
 			sb.WriteString(inst.Report.String())
 		}
 	}
-	s = sb.String()
-	vecReports.Lock()
-	if vecReports.m == nil {
-		vecReports.m = map[string]string{}
-	}
-	vecReports.m[key] = s
-	vecReports.Unlock()
-	return s, nil
-}
-
-// vecReports is VecReport's process-wide memo, keyed by version and
-// benchmark names; ResetMemo empties it. Concurrent misses may both
-// render, identically.
-var vecReports struct {
-	sync.Mutex
-	m map[string]string
+	return sb.String(), nil
 }

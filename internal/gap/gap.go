@@ -20,9 +20,6 @@ type Config struct {
 	Scale float64
 	// Benches restricts the suite (nil = all).
 	Benches []string
-	// SkipCheck disables golden validation (never set in tests; exists so
-	// very large exploratory runs can skip re-deriving references).
-	SkipCheck bool
 	// Jobs bounds the experiment scheduler's worker pool: every figure
 	// and table fans its measurement cells out across this many
 	// goroutines. 0 means GOMAXPROCS; 1 forces serial execution. Output
@@ -127,12 +124,12 @@ func (m *Measurement) Seconds() float64 { return m.Res.Seconds }
 // definition; the rest use every hardware thread. Results are memoized
 // process-wide: a (benchmark, version, machine, n) cell shared between
 // figures is measured exactly once (see Memo / ResetMemo).
-func Measure(b kernels.Benchmark, v kernels.Version, m *machine.Machine, n int, skipCheck bool) (*Measurement, error) {
-	c := Cell{Bench: b, Version: v, Machine: m, N: n}
-	ctx := context.Background()
-	return sharedMemo.do(ctx, c.key(skipCheck), func() (*Measurement, error) {
-		return measureCell(ctx, c, skipCheck)
-	})
+func Measure(b kernels.Benchmark, v kernels.Version, m *machine.Machine, n int) (*Measurement, error) {
+	ms, err := RunCells(Config{}, []Cell{{Bench: b, Version: v, Machine: m, N: n}})
+	if err != nil {
+		return nil, err
+	}
+	return ms[0], nil
 }
 
 // RunCells measures an explicit cell list through the configured
@@ -141,23 +138,4 @@ func Measure(b kernels.Benchmark, v kernels.Version, m *machine.Machine, n int, 
 // the figures' cache and admission path.
 func RunCells(cfg Config, cells []Cell) ([]*Measurement, error) {
 	return cfg.scheduler().Run(cfg.context(), cells)
-}
-
-// MeasureVersions measures a set of versions of one benchmark at its
-// scaled size, fanning the versions out across the configured scheduler.
-func MeasureVersions(b kernels.Benchmark, m *machine.Machine, cfg Config, vs ...kernels.Version) (map[kernels.Version]*Measurement, error) {
-	cells := make([]Cell, len(vs))
-	n := SizeFor(b, cfg)
-	for i, v := range vs {
-		cells[i] = Cell{Bench: b, Version: v, Machine: m, N: n}
-	}
-	ms, err := cfg.scheduler().Run(cfg.context(), cells)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[kernels.Version]*Measurement, len(vs))
-	for i, v := range vs {
-		out[v] = ms[i]
-	}
-	return out, nil
 }

@@ -30,14 +30,14 @@ func TestSizeForLegalizes(t *testing.T) {
 func TestMeasureValidates(t *testing.T) {
 	b, _ := kernels.ByName("blackscholes")
 	m := machine.WestmereX980()
-	meas, err := Measure(b, kernels.Naive, m, b.TestN(), false)
+	meas, err := Measure(b, kernels.Naive, m, b.TestN())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meas.Threads != 1 {
 		t.Errorf("naive ran on %d threads, want 1", meas.Threads)
 	}
-	meas2, err := Measure(b, kernels.Ninja, m, b.TestN(), false)
+	meas2, err := Measure(b, kernels.Ninja, m, b.TestN())
 	if err != nil {
 		t.Fatal(err)
 	}

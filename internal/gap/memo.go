@@ -25,7 +25,6 @@ type cellKey struct {
 	N          int
 	Threads    int // 0 = version default
 	NoPrefetch bool
-	Skip       bool
 }
 
 // machineSig fingerprints a machine for memo keying. The trailing
@@ -174,17 +173,13 @@ func (mo *Memo) Len() int {
 // measured exactly once per process.
 var sharedMemo = NewMemo()
 
-// ResetMemo clears the process-wide measurement cache and VecReport's
-// diagnostics memo. The benchmark harness calls it between iterations so
-// memoization does not turn repeated figure regenerations into cache
-// lookups.
+// ResetMemo clears the process-wide measurement cache. The benchmark
+// harness calls it between iterations so memoization does not turn
+// repeated figure regenerations into cache lookups.
 func ResetMemo() {
 	sharedMemo.mu.Lock()
 	sharedMemo.entries = map[cellKey]*memoEntry{}
 	sharedMemo.mu.Unlock()
-	vecReports.Lock()
-	vecReports.m = nil
-	vecReports.Unlock()
 }
 
 // MemoStats exposes the process-wide cache statistics (hits, misses).

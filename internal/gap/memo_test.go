@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"ninjagap/internal/kernels"
+	"ninjagap/internal/lang"
 	"ninjagap/internal/machine"
 )
 
@@ -39,7 +41,7 @@ func TestMemoKeysCostMutatedClone(t *testing.T) {
 		{Bench: cb, Version: kernels.Pragma, Machine: slow, N: n},
 	}
 	memo := NewMemo()
-	ms, err := NewScheduler(1, memo, false).Run(context.Background(), cells)
+	ms, err := NewScheduler(1, memo).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestMemoKeysFieldMutatedClones(t *testing.T) {
 		cells = append(cells, Cell{Bench: cb, Version: kernels.Pragma, Machine: clone, N: n})
 	}
 	memo := NewMemo()
-	if _, err := NewScheduler(2, memo, false).Run(context.Background(), cells); err != nil {
+	if _, err := NewScheduler(2, memo).Run(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(cells)) {
@@ -117,7 +119,7 @@ func TestSchedulerClassifiesWrappedCancellation(t *testing.T) {
 	n := LegalN(good, good.TestN())
 
 	cells := []Cell{{Bench: bad, Version: kernels.Naive, Machine: m, N: n}}
-	_, err = NewScheduler(1, NewMemo(), false).Run(ctx, cells)
+	_, err = NewScheduler(1, NewMemo()).Run(ctx, cells)
 	if err == nil {
 		t.Fatal("cancelled batch returned no error")
 	}
@@ -139,7 +141,7 @@ func TestSchedulerDeadlinePropagatesCause(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	<-ctx.Done()
-	_, err := NewScheduler(2, NewMemo(), false).Run(ctx, cells)
+	_, err := NewScheduler(2, NewMemo()).Run(ctx, cells)
 	if err == nil {
 		t.Fatal("expired deadline did not fail the run")
 	}
@@ -221,17 +223,49 @@ func TestMemoRetriesAfterCancelledWinner(t *testing.T) {
 // docs/CACHE_FORMAT.md: persisted entries are addressed by this exact
 // string, so key derivation must never drift.
 func TestCellKeyMatchesCacheFormat(t *testing.T) {
-	const want = "ninjagap-cell/v3|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|false|false"
+	const want = "ninjagap-cell/v4|blackscholes|naive|WestmereX980|c6|3.33|0776e8ddb14ba579|4096|1|false"
 	b, err := kernels.ByName("blackscholes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Cell{Bench: b, Version: kernels.Naive, Machine: machine.WestmereX980(), N: 4096}
-	if got := c.key(false).String(); got != want {
+	if got := c.key().String(); got != want {
 		t.Errorf("cell key\n got %s\nwant %s", got, want)
 	}
-	if got := NewScheduler(1, NewMemo(), false).keys([]Cell{c})[0].String(); got != want {
+	if got := NewScheduler(1, NewMemo()).keys([]Cell{c})[0].String(); got != want {
 		t.Errorf("scheduler batch key\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCellKeyStringIgnoresFlag pins what a caller probing the persistent
+// store by CellKeyString relies on: the flag it passes changes no key, and
+// the string is the key the memo and the disk layer use, for a submitted
+// kernel's cell as for a suite cell.
+func TestCellKeyStringIgnoresFlag(t *testing.T) {
+	src, err := os.ReadFile("../../examples/submit/saxpy.kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, k, err := lang.Normalize(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := kernels.FromKernel(k, canonical)
+	suite, err := kernels.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.KnightsFerry()
+	for _, c := range []Cell{
+		{Bench: sub, Version: kernels.Pragma, Machine: m, N: sub.DefaultN()},
+		{Bench: suite, Version: kernels.Naive, Machine: m, N: LegalN(suite, suite.TestN())},
+	} {
+		want := c.key().String()
+		for _, flag := range []bool{true, false} {
+			if got := CellKeyString(c, flag); got != want {
+				t.Errorf("%s: CellKeyString(c, %t)\n got %s\nwant %s", c.Bench.Name(), flag, got, want)
+			}
+		}
 	}
 }
 
@@ -259,11 +293,11 @@ func TestSchedulerKeysMatchCellKeys(t *testing.T) {
 			}
 		}
 	}
-	s := NewScheduler(1, NewMemo(), true)
+	s := NewScheduler(1, NewMemo())
 	keys := s.keys(cells)
 	seen := map[cellKey]bool{}
 	for i, c := range cells {
-		want := c.key(true)
+		want := c.key()
 		if keys[i] != want {
 			t.Errorf("cell %d: batch key %s, alone %s", i, keys[i], want)
 		}
@@ -275,10 +309,8 @@ func TestSchedulerKeysMatchCellKeys(t *testing.T) {
 	}
 }
 
-// TestWarmFig4Bytes checks the fig4 diagnostics memo: dispatches served
-// from a warm memo render byte-identically to the cold one, the warm ones
-// compute nothing, and ResetMemo empties the diagnostics memo along with
-// the measurement caches.
+// TestWarmFig4Bytes checks that fig4 dispatches served from a warm memo
+// render byte-identically to the cold one and compute nothing.
 func TestWarmFig4Bytes(t *testing.T) {
 	cfg := tiny
 	cfg.Benches = []string{"treesearch", "libor", "blackscholes"}
@@ -297,20 +329,9 @@ func TestWarmFig4Bytes(t *testing.T) {
 		}
 		return tb.String(), jb.String()
 	}
-	diagLen := func() int {
-		vecReports.Lock()
-		defer vecReports.Unlock()
-		return len(vecReports.m)
-	}
 
 	ResetMemo()
-	if n := diagLen(); n != 0 {
-		t.Fatalf("diagnostics memo holds %d entries after ResetMemo", n)
-	}
 	coldText, coldJSON := render()
-	if n := diagLen(); n != 1 {
-		t.Errorf("diagnostics memo holds %d entries after one fig4, want 1", n)
-	}
 	_, missesBefore := MemoStats()
 	for i := 0; i < 2; i++ {
 		text, js := render()
@@ -323,10 +344,6 @@ func TestWarmFig4Bytes(t *testing.T) {
 	}
 	if !strings.Contains(coldText, "auto-vectorization diagnostics:") {
 		t.Error("fig4 text lost its diagnostics section")
-	}
-	ResetMemo()
-	if n := diagLen(); n != 0 {
-		t.Errorf("ResetMemo left %d diagnostics entries", n)
 	}
 }
 

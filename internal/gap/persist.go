@@ -7,7 +7,7 @@ package gap
 // Key derivation: the canonical key string is
 //
 //	<schema> "|" bench "|" version "|" machineSig "|" n "|" threads
-//	         "|" noprefetch "|" skipcheck
+//	         "|" noprefetch
 //
 // where machineSig embeds the full-model machine.Fingerprint, so any
 // model edit — cost table, cache geometry, features — changes the key
@@ -45,14 +45,14 @@ import (
 // whenever the entry layout, the key grammar or the meaning of any field
 // changes; every existing entry becomes unreachable (not merely invalid),
 // which is the intended invalidation mechanism.
-const CellSchema = "ninjagap-cell/v3"
+const CellSchema = "ninjagap-cell/v4"
 
 // String renders the canonical, schema-qualified key of a cell. This
 // exact string is hashed for the on-disk address and recorded inside
 // each entry.
 func (k cellKey) String() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%t|%t",
-		CellSchema, k.Bench, k.Version, k.Machine, k.N, k.Threads, k.NoPrefetch, k.Skip)
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%t",
+		CellSchema, k.Bench, k.Version, k.Machine, k.N, k.Threads, k.NoPrefetch)
 }
 
 // cellEntry is the serialized form of one successful measurement. It

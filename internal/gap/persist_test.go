@@ -36,11 +36,11 @@ func TestCellEntryRoundTrip(t *testing.T) {
 	}
 	m := machine.WestmereX980()
 	n := LegalN(b, b.TestN())
-	meas, err := measureCell(context.Background(), Cell{Bench: b, Version: kernels.Pragma, Machine: m, N: n}, false)
+	meas, err := measureCell(context.Background(), Cell{Bench: b, Version: kernels.Pragma, Machine: m, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Cell{Bench: b, Version: kernels.Pragma, Machine: m, N: n}.key(false).String()
+	key := Cell{Bench: b, Version: kernels.Pragma, Machine: m, N: n}.key().String()
 	enc, err := encodeMeasurement(key, meas)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestMemoEntryHasDiskShape(t *testing.T) {
 	}
 	for _, v := range []kernels.Version{kernels.AutoVec, kernels.Ninja} {
 		c := Cell{Bench: b, Version: v, Machine: machine.WestmereX980(), N: LegalN(b, b.TestN())}
-		meas, err := NewScheduler(1, NewMemo(), false).Run(context.Background(), []Cell{c})
+		meas, err := NewScheduler(1, NewMemo()).Run(context.Background(), []Cell{c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestMemoEntryHasDiskShape(t *testing.T) {
 			t.Errorf("%s: memoized Inst keeps Arrays=%v Prog=%v Check=%v", v,
 				inst.Arrays != nil, inst.Prog != nil, inst.Check != nil)
 		}
-		key := c.key(false).String()
+		key := c.key().String()
 		enc, err := encodeMeasurement(key, meas[0])
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 	}
 
 	memo1, d1 := diskMemo(t, dir)
-	cold, err := NewScheduler(2, memo1, false).Run(context.Background(), cells)
+	cold, err := NewScheduler(2, memo1).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 
 	// "Restart": fresh memo, fresh store handle, same directory.
 	memo2, d2 := diskMemo(t, dir)
-	warm, err := NewScheduler(2, memo2, false).Run(context.Background(), cells)
+	warm, err := NewScheduler(2, memo2).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 		t.Errorf("warm run took %d disk hits, want 2", hits)
 	}
 	for i := range cells {
-		key := cells[i].key(false).String()
+		key := cells[i].key().String()
 		a, err := encodeMeasurement(key, cold[i])
 		if err != nil {
 			t.Fatal(err)
@@ -176,10 +176,10 @@ func corruptionCase(t *testing.T, tamper func(t *testing.T, s *store.Store, key 
 	m := machine.WestmereX980()
 	n := LegalN(base, base.TestN())
 	cell := Cell{Bench: cb, Version: kernels.Naive, Machine: m, N: n}
-	key := cell.key(false).String()
+	key := cell.key().String()
 
 	memo1, _ := diskMemo(t, dir)
-	cold, err := NewScheduler(1, memo1, false).Run(context.Background(), []Cell{cell})
+	cold, err := NewScheduler(1, memo1).Run(context.Background(), []Cell{cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func corruptionCase(t *testing.T, tamper func(t *testing.T, s *store.Store, key 
 	tamper(t, s, key, entry)
 
 	memo2, d2 := diskMemo(t, dir)
-	warm, err := NewScheduler(1, memo2, false).Run(context.Background(), []Cell{cell})
+	warm, err := NewScheduler(1, memo2).Run(context.Background(), []Cell{cell})
 	if err != nil {
 		t.Fatalf("tampered cache surfaced an error instead of a miss: %v", err)
 	}
@@ -211,7 +211,7 @@ func corruptionCase(t *testing.T, tamper func(t *testing.T, s *store.Store, key 
 	// The recompute must have repaired the cache: a third fresh memo now
 	// serves the cell from disk again.
 	memo3, d3 := diskMemo(t, dir)
-	if _, err := NewScheduler(1, memo3, false).Run(context.Background(), []Cell{cell}); err != nil {
+	if _, err := NewScheduler(1, memo3).Run(context.Background(), []Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
 	if hits := d3.hits.Load(); hits != 1 {

@@ -38,13 +38,13 @@ type Cell struct {
 // count is used so an explicit Threads equal to the version default
 // shares a cache entry with the default cell (e.g. the SMT ablation's
 // all-threads run is fig5's algo cell).
-func (c Cell) key(skipCheck bool) cellKey {
-	return c.keyWith(machineSig(c.Machine), skipCheck)
+func (c Cell) key() cellKey {
+	return c.keyWith(machineSig(c.Machine))
 }
 
 // keyWith is key with the machine signature already derived, so a batch
 // fingerprints each machine once (see Scheduler.keys).
-func (c Cell) keyWith(sig string, skipCheck bool) cellKey {
+func (c Cell) keyWith(sig string) cellKey {
 	return cellKey{
 		Bench:      c.Bench.Name(),
 		Version:    c.Version.String(),
@@ -52,7 +52,6 @@ func (c Cell) keyWith(sig string, skipCheck bool) cellKey {
 		N:          c.N,
 		Threads:    c.threads(),
 		NoPrefetch: c.DisablePrefetch,
-		Skip:       skipCheck,
 	}
 }
 
@@ -69,12 +68,12 @@ func (c Cell) threads() int {
 	return c.Machine.HWThreads()
 }
 
-// measureCell prepares, runs and validates one cell. It is the single
-// execution path behind Measure and the Scheduler. ctx bounds the work:
-// cancellation is honored between the cell's phases (prepare, execute,
-// validate), so a request deadline abandons a cell at the next phase
-// boundary rather than simulating to completion.
-func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, error) {
+// measureCell prepares, runs and validates one cell. It is the
+// Scheduler's execution path for a cell measured alone. ctx bounds the
+// work: cancellation is honored between the cell's phases (prepare,
+// execute, validate), so a request deadline abandons a cell at the next
+// phase boundary rather than simulating to completion.
+func measureCell(ctx context.Context, c Cell) (*Measurement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -82,12 +81,12 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	if err != nil {
 		return nil, err
 	}
-	return runCell(ctx, c, inst, skipCheck)
+	return runCell(ctx, c, inst)
 }
 
 // runCell is measureCell after Prepare: it runs and validates a prepared
 // instance of c.
-func runCell(ctx context.Context, c Cell, inst *kernels.Instance, skipCheck bool) (*Measurement, error) {
+func runCell(ctx context.Context, c Cell, inst *kernels.Instance) (*Measurement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -100,10 +99,8 @@ func runCell(ctx context.Context, c Cell, inst *kernels.Instance, skipCheck bool
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !skipCheck {
-		if err := inst.Check(); err != nil {
-			return nil, checkErr(c, err)
-		}
+	if err := inst.Check(); err != nil {
+		return nil, checkErr(c, err)
 	}
 	return measurement(c, threads, res, inst), nil
 }
@@ -135,7 +132,7 @@ func measurement(c Cell, threads int, res *exec.Result, inst *kernels.Instance) 
 // (TestPrepareMachineIndependent). When the program cannot be shared it
 // measures cells[0] alone, leaves the rest unmeasured and reports shared
 // false, so the caller measures them alone too.
-func measureShared(ctx context.Context, cells []Cell, skipCheck bool) (ms []*Measurement, errs []error, shared bool) {
+func measureShared(ctx context.Context, cells []Cell) (ms []*Measurement, errs []error, shared bool) {
 	ms = make([]*Measurement, len(cells))
 	errs = make([]error, len(cells))
 	each := func(f func(c Cell) error) ([]*Measurement, []error, bool) {
@@ -163,7 +160,7 @@ func measureShared(ctx context.Context, cells []Cell, skipCheck bool) (ms []*Mea
 		exec.Options{Threads: 1, DisablePrefetch: c0.DisablePrefetch})
 	if errors.Is(err, exec.ErrNotShared) {
 		pprof.Do(ctx, pprof.Labels("machine", c0.Machine.Name), func(ctx context.Context) {
-			ms[0], errs[0] = runCell(ctx, c0, inst, skipCheck)
+			ms[0], errs[0] = runCell(ctx, c0, inst)
 		})
 		return ms, errs, false
 	}
@@ -173,10 +170,8 @@ func measureShared(ctx context.Context, cells []Cell, skipCheck bool) (ms []*Mea
 	if err := ctx.Err(); err != nil {
 		return each(func(Cell) error { return err })
 	}
-	if !skipCheck {
-		if err := inst.Check(); err != nil {
-			return each(func(c Cell) error { return checkErr(c, err) })
-		}
+	if err := inst.Check(); err != nil {
+		return each(func(c Cell) error { return checkErr(c, err) })
 	}
 	for i, c := range cells {
 		ms[i] = measurement(c, 1, res[i], inst)
@@ -202,25 +197,24 @@ func retained(inst *kernels.Instance) *kernels.Instance {
 // Results are returned in input order regardless of completion order, so
 // every figure renders byte-identically at any job count.
 type Scheduler struct {
-	jobs      int
-	memo      *Memo
-	skipCheck bool
+	jobs int
+	memo *Memo
 }
 
 // NewScheduler builds a scheduler with its own memo cache. jobs bounds
 // the worker pool; 0 means GOMAXPROCS.
-func NewScheduler(jobs int, memo *Memo, skipCheck bool) *Scheduler {
+func NewScheduler(jobs int, memo *Memo) *Scheduler {
 	if memo == nil {
 		memo = NewMemo()
 	}
-	return &Scheduler{jobs: jobs, memo: memo, skipCheck: skipCheck}
+	return &Scheduler{jobs: jobs, memo: memo}
 }
 
 // scheduler returns the configured scheduler for an experiment run,
 // backed by the process-wide memo cache so cells shared between figures
 // are measured exactly once per process.
 func (c Config) scheduler() *Scheduler {
-	return NewScheduler(c.Jobs, sharedMemo, c.SkipCheck)
+	return NewScheduler(c.Jobs, sharedMemo)
 }
 
 // workers resolves the pool size.
@@ -255,7 +249,7 @@ func (s *Scheduler) keys(cells []Cell) []cellKey {
 			machines = append(machines, c.Machine)
 			sigs = append(sigs, machineSig(c.Machine))
 		}
-		keys[i] = c.keyWith(sigs[j], s.skipCheck)
+		keys[i] = c.keyWith(sigs[j])
 	}
 	return keys
 }
@@ -273,7 +267,7 @@ func (s *Scheduler) measure(ctx context.Context, c Cell, key cellKey) (*Measurem
 			"version", c.Version.String(),
 			"machine", c.Machine.Name,
 		), func(ctx context.Context) {
-			m, err = measureCell(ctx, c, s.skipCheck)
+			m, err = measureCell(ctx, c)
 		})
 		return m, err
 	})
@@ -292,7 +286,7 @@ func (s *Scheduler) measureGroup(ctx context.Context, cells []Cell) (ms []*Measu
 		"version", cells[0].Version.String(),
 		"machine", strings.Join(names, "+"),
 	), func(ctx context.Context) {
-		ms, errs, shared = measureShared(ctx, cells, s.skipCheck)
+		ms, errs, shared = measureShared(ctx, cells)
 	})
 	return ms, errs, shared
 }
@@ -307,11 +301,11 @@ type work struct {
 // plan turns a batch into work items in cell order. Serial cells of one
 // compiled kernel on different machines share one run (exec.RunShared)
 // and form one item, placed at its first member: cells whose keys agree
-// on everything but the machine (bench, version, N, prefetch flag; the
-// check mode is the scheduler's), on one thread, at a version other than
-// Ninja (whose Prepare builds machine-specific code), whose machines have
-// one cache front (exec.Front: the L1 and prefetcher every member's L1
-// hits are decided by), and that are neither in the memo nor on disk now.
+// on everything but the machine (bench, version, N, prefetch flag), on
+// one thread, at a version other than Ninja (whose Prepare builds
+// machine-specific code), whose machines have one cache front
+// (exec.Front: the L1 and prefetcher every member's L1 hits are decided
+// by), and that are neither in the memo nor on disk now.
 // A group needs two members. Every other cell, including a repeat of a
 // member's key, is an item of its own, so a batch never computes a cell it
 // was not given and a lone cell runs as before. The front only steers
@@ -382,7 +376,7 @@ func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 // but the machine.
 func sameProgram(a, b cellKey) bool {
 	return a.Bench == b.Bench && a.Version == b.Version && a.N == b.N &&
-		a.Threads == b.Threads && a.NoPrefetch == b.NoPrefetch && a.Skip == b.Skip
+		a.Threads == b.Threads && a.NoPrefetch == b.NoPrefetch
 }
 
 // hasMachine reports whether one of the cells at idx has machine signature sig.
@@ -488,27 +482,14 @@ func (b *batch) runGroup(members []int) {
 	}
 }
 
-// errsPool recycles Run's per-batch error slates. The experiment drivers
-// call Run once per figure row and almost every batch finishes clean, so
-// without the pool the all-nil slices are pure churn.
-var errsPool sync.Pool
-
-func getErrs(n int) *[]error {
-	if v, ok := errsPool.Get().(*[]error); ok && cap(*v) >= n {
-		s := (*v)[:n]
-		clear(s)
-		*v = s
-		return v
-	}
-	s := make([]error, n)
-	return &s
-}
-
 // Run measures every cell and returns results in cell order: results[i]
-// belongs to cells[i]. Serial cells of one kernel on several machines
-// share one simulated run (see plan). The first failing cell (by input
-// order) cancels the remaining work via ctx and is returned as the error;
-// cells already in flight finish, cells not yet started are skipped.
+// belongs to cells[i]. It is the one way a cell is measured (Measure and
+// RunCells call it), and every cell it computes passes its instance's
+// Check before it is returned or cached. Serial cells of one kernel on
+// several machines share one simulated run (see plan). The first failing
+// cell (by input order) cancels the remaining work via ctx and is
+// returned as the error; cells already in flight finish, cells not yet
+// started are skipped.
 func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -519,25 +500,11 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 	}
 	keys := s.keys(cells)
 	items := s.plan(cells, keys)
-	errsp := getErrs(len(cells))
-	defer errsPool.Put(errsp)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	b := &batch{s: s, ctx: ctx, cancel: cancel, cells: cells, keys: keys,
-		results: results, errs: *errsp}
-
-	// Serial fast path: with one worker there is nothing to fan out, so
-	// the items run inline on this goroutine — no channel handoff, no
-	// worker pool — with exactly the pooled path's per-cell error
-	// accounting (a failure cancels ctx; later cells are marked with the
-	// cancellation cause and skipped).
-	if s.workers(len(items)) == 1 {
-		for _, it := range items {
-			b.run(it)
-		}
-		return collect(ctx, results, b.errs)
-	}
+		results: results, errs: make([]error, len(cells))}
 
 	feed := make(chan work)
 	var wg sync.WaitGroup

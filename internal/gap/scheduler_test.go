@@ -60,11 +60,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	m := machine.WestmereX980()
 	cells := testCells(t, m)
 
-	serial, err := NewScheduler(1, NewMemo(), false).Run(context.Background(), cells)
+	serial, err := NewScheduler(1, NewMemo()).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewScheduler(8, NewMemo(), false).Run(context.Background(), cells)
+	parallel, err := NewScheduler(8, NewMemo()).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMemoSingleflight(t *testing.T) {
 		cells[i] = Cell{Bench: cb, Version: kernels.Naive, Machine: m, N: n}
 	}
 	memo := NewMemo()
-	ms, err := NewScheduler(8, memo, false).Run(context.Background(), cells)
+	ms, err := NewScheduler(8, memo).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMemoKeysMachineVariants(t *testing.T) {
 		{Bench: cb, Version: kernels.Pragma, Machine: hw, N: n},
 		{Bench: cb, Version: kernels.Pragma, Machine: m.WithCores(2), N: n},
 	}
-	ms, err := NewScheduler(2, NewMemo(), false).Run(context.Background(), cells)
+	ms, err := NewScheduler(2, NewMemo()).Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSchedulerThreadKeyNormalized(t *testing.T) {
 		{Bench: cb, Version: kernels.Algo, Machine: m, N: n},
 		{Bench: cb, Version: kernels.Algo, Machine: m, N: n, Threads: m.HWThreads()},
 	}
-	if _, err := NewScheduler(1, NewMemo(), false).Run(context.Background(), cells); err != nil {
+	if _, err := NewScheduler(1, NewMemo()).Run(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != 1 {
@@ -189,7 +189,7 @@ func TestSchedulerErrorCancels(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cells = append(cells, Cell{Bench: good, Version: kernels.Naive, Machine: m, N: n})
 	}
-	_, err = NewScheduler(4, NewMemo(), false).Run(context.Background(), cells)
+	_, err = NewScheduler(4, NewMemo()).Run(context.Background(), cells)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("got %v, want errBoom", err)
 	}
@@ -202,7 +202,7 @@ func TestSchedulerRespectsContext(t *testing.T) {
 	cells := testCells(t, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewScheduler(2, NewMemo(), false).Run(ctx, cells); err == nil {
+	if _, err := NewScheduler(2, NewMemo()).Run(ctx, cells); err == nil {
 		t.Fatal("cancelled context did not fail the run")
 	}
 }
@@ -216,11 +216,11 @@ func TestMeasureSharedMemo(t *testing.T) {
 	}
 	m := machine.WestmereX980()
 	n := LegalN(b, b.TestN())
-	m1, err := Measure(b, kernels.Ninja, m, n, false)
+	m1, err := Measure(b, kernels.Ninja, m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Measure(b, kernels.Ninja, m, n, false)
+	m2, err := Measure(b, kernels.Ninja, m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMeasureSharedMemo(t *testing.T) {
 		t.Error("repeated Measure did not return the cached measurement")
 	}
 	ResetMemo()
-	m3, err := Measure(b, kernels.Ninja, m, n, false)
+	m3, err := Measure(b, kernels.Ninja, m, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestGroupedNaiveMatchGoldens(t *testing.T) {
 				}
 			}
 			memo := NewMemo()
-			ms, err := NewScheduler(jobs, memo, false).Run(context.Background(), cells)
+			ms, err := NewScheduler(jobs, memo).Run(context.Background(), cells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestLoneSerialCellComputesOne(t *testing.T) {
 	cb := &countingBench{Benchmark: base}
 	memo := NewMemo()
 	cells := naiveCells(cb, []*machine.Machine{machine.Core2Quad()})
-	if _, err := NewScheduler(2, memo, false).Run(context.Background(), cells); err != nil {
+	if _, err := NewScheduler(2, memo).Run(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := memo.Stats(); misses != 1 || memo.Len() != 1 || cb.prepares.Load() != 1 {
@@ -216,7 +216,7 @@ func TestGroupSkipsMemoizedMember(t *testing.T) {
 	}
 	cb := &countingBench{Benchmark: base}
 	memo := NewMemo()
-	s := NewScheduler(2, memo, false)
+	s := NewScheduler(2, memo)
 	first, err := s.Run(context.Background(), naiveCells(cb, []*machine.Machine{machine.WestmereX980()}))
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestGroupCancelLeavesNoneCached(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cb := &cancelOnPrepare{Benchmark: base, cancel: cancel}
 		memo := NewMemo()
-		_, err := NewScheduler(jobs, memo, false).Run(ctx, naiveCells(cb, machine.All()))
+		_, err := NewScheduler(jobs, memo).Run(ctx, naiveCells(cb, machine.All()))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("jobs=%d: got %v, want context.Canceled", jobs, err)
 		}
@@ -294,7 +294,7 @@ func TestGroupedErrorsNameEachMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := naiveCells(&badCheckBench{Benchmark: base}, machine.All())
-	ms, errs, shared := measureShared(context.Background(), cells, false)
+	ms, errs, shared := measureShared(context.Background(), cells)
 	if !shared {
 		t.Fatal("libor naive did not share")
 	}
@@ -372,7 +372,7 @@ func TestSchedulerGroupResultsMatchSolo(t *testing.T) {
 			}
 		}
 	}
-	s := NewScheduler(2, NewMemo(), false)
+	s := NewScheduler(2, NewMemo())
 	groups := 0
 	for _, it := range s.plan(cells, s.keys(cells)) {
 		if it.group != nil {
@@ -393,7 +393,7 @@ func TestSchedulerGroupResultsMatchSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
-		solo, err := NewScheduler(1, NewMemo(), false).Run(context.Background(), []Cell{c})
+		solo, err := NewScheduler(1, NewMemo()).Run(context.Background(), []Cell{c})
 		if err != nil {
 			t.Fatal(err)
 		}

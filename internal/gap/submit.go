@@ -11,9 +11,11 @@ package gap
 import "ninjagap/internal/store"
 
 // CellKeyString returns the canonical, schema-qualified key string of a
-// cell — the same string the persistent cache addresses entries by.
-func CellKeyString(c Cell, skipCheck bool) string {
-	return c.key(skipCheck).String()
+// cell — the same string the persistent cache addresses entries by. Every
+// measured cell runs its check, so no key depends on the ignored flag; it
+// stays for callers written when keys carried a check mode.
+func CellKeyString(c Cell, _ bool) string {
+	return c.key().String()
 }
 
 // CellCached reports whether the cell is already present in the
@@ -21,8 +23,8 @@ func CellKeyString(c Cell, skipCheck bool) string {
 // compute nothing. The probe is advisory (a concurrent request may
 // compute the cell between probe and run) but that race only ever
 // overcounts pending work, never undercounts a cache hit's cost.
-func CellCached(c Cell, skipCheck bool) bool {
-	return sharedMemo.cached(c.key(skipCheck))
+func CellCached(c Cell) bool {
+	return sharedMemo.cached(c.key())
 }
 
 // PersistentStore returns the blob store behind the attached -cache-dir

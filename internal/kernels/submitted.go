@@ -91,9 +91,8 @@ func SubmitVersions() []Version { return []Version{Naive, AutoVec, Pragma} }
 
 // Prepare compiles the submitted source at one level and binds
 // deterministically generated inputs. Submitted kernels have no golden
-// reference implementation, so Check always passes; the submission
-// service runs their cells with SkipCheck set, which also keeps their
-// cache keys disjoint from checked cells.
+// reference implementation, so Check always passes. Their "submit:<hash>"
+// bench names keep their cache keys disjoint from the suite's cells.
 func (s *Submitted) Prepare(v Version, m *machine.Machine, n int) (*Instance, error) {
 	switch v {
 	case Naive, AutoVec, Pragma:

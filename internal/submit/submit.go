@@ -205,9 +205,10 @@ func NewService(lim Limits) *Service {
 func (s *Service) Limits() Limits { return s.lim }
 
 // Process measures one submission under ctx. cfg supplies the scheduler
-// parameters that carry over from the host (Jobs); Scale, Benches and
-// SkipCheck are ignored — submitted kernels run at their declared size,
-// always with SkipCheck (they have no golden reference).
+// parameters that carry over from the host (Jobs); Scale and Benches are
+// ignored — submitted kernels run at their declared size. Their cells run
+// their check like every other cell; a submitted kernel has no golden
+// reference, so its check always passes.
 //
 // Rejections are returned as *Error and are never cached; context
 // errors propagate as-is (the HTTP layer maps deadlines to 504). Only a
@@ -269,7 +270,7 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 	// the measurement cache for free.
 	computed := 0
 	for _, c := range cells {
-		if !gap.CellCached(c, true) {
+		if !gap.CellCached(c) {
 			computed++
 		}
 	}
@@ -281,7 +282,6 @@ func (s *Service) Process(ctx context.Context, req Request, cfg gap.Config) (*Ou
 
 	cfg.Scale = 0
 	cfg.Benches = nil
-	cfg.SkipCheck = true
 	ms, err := gap.RunCells(cfg.WithContext(ctx), cells)
 	if err != nil {
 		// Classify by the error, not by ctx's state: an exec error that

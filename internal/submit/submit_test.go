@@ -89,7 +89,8 @@ func TestProcessWarmVsColdByteIdentical(t *testing.T) {
 	// Fresh service + cleared measurement memo: only the disk store
 	// survives, as across a daemon restart.
 	gap.ResetMemo()
-	warm, err := NewService(Limits{}).Process(context.Background(), testReq(testSrc), gap.Config{})
+	s := NewService(Limits{})
+	warm, err := s.Process(context.Background(), testReq(testSrc), gap.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +100,21 @@ func TestProcessWarmVsColdByteIdentical(t *testing.T) {
 	if !bytes.Equal(cold.Body, warm.Body) {
 		t.Errorf("warm body differs from cold:\ncold %q...\nwarm %q...",
 			cold.Body[:min(80, len(cold.Body))], warm.Body[:min(80, len(warm.Body))])
+	}
+	// A new version list misses the response memo, but its cell was
+	// persisted by the cold run under the key a warm run derives.
+	diskHits, _, _ := gap.CacheDirStats()
+	req := testReq(testSrc)
+	req.Versions = []string{"naive"}
+	naive, err := s.Process(context.Background(), req, gap.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.MemoHit || naive.Computed != 0 {
+		t.Errorf("naive after restart: hit=%v computed=%d, want a memo miss with 0 computed", naive.MemoHit, naive.Computed)
+	}
+	if h, _, _ := gap.CacheDirStats(); h != diskHits+1 {
+		t.Errorf("naive after restart: %d cells from disk, want 1", h-diskHits)
 	}
 }
 
@@ -170,7 +186,7 @@ func TestMemoKeyMatchesCacheFormat(t *testing.T) {
 	const want = "ninjagap-submit/v1|15b7286d82d8416c494d2fa90b64d8d33e826912a9a2d8f5d4e249469d11b37f" +
 		"|m=Core2Quad:8f36c6c83c658594,NehalemI7:488015dd279b6d87,WestmereX980:0776e8ddb14ba579," +
 		"KnightsFerry:a5b36ff7feaef6f8,FutureWide:8f3ab424a412d727" +
-		"|v=naive,autovec,pragma|ninjagap-cell/v3"
+		"|v=naive,autovec,pragma|ninjagap-cell/v4"
 	src, err := os.ReadFile("../../examples/submit/saxpy.kernel")
 	if err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ var (
 // at size n (serial versions run one thread, per the paper's gap
 // definition).
 func Run(b Bench, v Version, m *Machine, n int) (*Measurement, error) {
-	return gap.Measure(b, v, m, gap.LegalN(b, n), false)
+	return gap.Measure(b, v, m, gap.LegalN(b, n))
 }
 
 // Config scales and scopes experiments.
