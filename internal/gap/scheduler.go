@@ -294,8 +294,18 @@ func (s *Scheduler) measureGroup(ctx context.Context, cells []Cell) (ms []*Measu
 // work is one item of a batch: one cell, or a group of cells measured
 // with one shared run (see plan).
 type work struct {
-	cell  int
-	group []int // cell indices, in cell order; nil for a single cell
+	cell    int
+	group   []int   // cell indices, in cell order; nil for a single cell
+	repeats []int   // later cells with a member's key, looked up after the group
+	extras  []extra // unrequested preset cells the group's run also measures
+}
+
+// extra is a cell no batch cell asked for that a group's shared run
+// measures along with its members (see plan): the same program on another
+// preset machine with the group's cache front.
+type extra struct {
+	cell Cell
+	key  cellKey
 }
 
 // plan turns a batch into work items in cell order. Serial cells of one
@@ -305,11 +315,35 @@ type work struct {
 // one thread, at a version other than Ninja (whose Prepare builds
 // machine-specific code), whose machines have one cache front
 // (exec.Front: the L1 and prefetcher every member's L1 hits are decided
-// by), and that are neither in the memo nor on disk now.
-// A group needs two members. Every other cell, including a repeat of a
-// member's key, is an item of its own, so a batch never computes a cell it
-// was not given and a lone cell runs as before. The front only steers
-// grouping; it is no part of any cell's key.
+// by), and that are neither in the memo nor on disk now. A repeat of a
+// member's key joins the group's item and is looked up once the members
+// are settled, so it can never measure a member alone before the group's
+// run does, and what a batch computes does not depend on which worker
+// starts first. The front only steers grouping; it is no part of any
+// cell's key.
+//
+// A group may also carry extras: the same cell on every other unmodified
+// preset with the group's front, so that the run a later batch would
+// repeat for them is paid for once (Fig 2's naive row rides on Table 1's
+// Westmere run). An extra joins only when all of these hold:
+//   - the batch has two or more cells (a lone cell is a latency request
+//     and computes only itself);
+//   - the cell is naive, the one serial version the drivers ask for on
+//     every preset (the autovec and one-thread pragma programs of the
+//     while-loop kernels share too, but no figure asks for them off
+//     Westmere, so their extras would be work nothing reads);
+//   - the benchmark is a built-in suite member (a submission names its
+//     machines, and its admission estimate counts only its own cells);
+//   - a member the batch computes runs on an unmodified preset, by the
+//     preset table's fingerprint: a Clone, WithFeatures or WithCores
+//     variant neither brings extras nor becomes one;
+//   - the batch does not hold the extra's cell, and the memo and disk do
+//     not either.
+//
+// A group needs two cells, members and extras together; every other cell
+// is an item of its own. An extra never gets a result slot and never
+// fails the batch: runGroup stores its measurement in the memo when the
+// shared run succeeds, and drops it when the run fails or is refused.
 func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 	items := make([]work, 0, len(cells))
 	var cand []int
@@ -318,45 +352,52 @@ func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 			cand = append(cand, i)
 		}
 	}
-	var groups map[int][]int // first member -> members
-	if len(cand) > 1 {
+	var groups map[int]*work // first member -> its group; nil for later members
+	if len(cells) > 1 && len(cand) > 0 {
 		taken := make([]bool, len(cells))
 		fronts := make([]cache.Front, len(cells))
 		for _, i := range cand {
-			fronts[i] = exec.Front(cells[i].Machine, exec.Options{Threads: 1, DisablePrefetch: cells[i].DisablePrefetch})
+			fronts[i] = exec.Front(cells[i].Machine, frontOpts(cells[i]))
 		}
 		for a, i := range cand {
 			if taken[i] {
 				continue
 			}
 			members := []int{i}
+			var repeats []int
 			for _, j := range cand[a+1:] {
 				if taken[j] || !sameProgram(keys[i], keys[j]) || fronts[j] != fronts[i] {
 					continue
 				}
 				taken[j] = true
-				if !hasMachine(keys, members, keys[j].Machine) {
+				if hasMachine(keys, members, keys[j].Machine) {
+					repeats = append(repeats, j)
+				} else {
 					members = append(members, j)
 				}
 			}
-			if len(members) < 2 {
-				continue
-			}
-			uncached := members[:0]
+			var uncached []int
 			for _, j := range members {
 				if !s.memo.cached(keys[j]) {
 					uncached = append(uncached, j)
 				}
 			}
-			if len(uncached) < 2 {
+			if len(uncached) == 0 {
+				continue
+			}
+			ex := s.extras(cells[i], keys, members, uncached, fronts[i])
+			if len(uncached)+len(ex) < 2 {
 				continue
 			}
 			if groups == nil {
-				groups = map[int][]int{}
+				groups = map[int]*work{}
 			}
-			groups[uncached[0]] = uncached
+			groups[uncached[0]] = &work{cell: uncached[0], group: uncached, repeats: repeats, extras: ex}
 			for _, j := range uncached[1:] {
 				groups[j] = nil // placed in its group's item
+			}
+			for _, j := range repeats {
+				groups[j] = nil
 			}
 		}
 	}
@@ -366,11 +407,73 @@ func (s *Scheduler) plan(cells []Cell, keys []cellKey) []work {
 		case !ok:
 			items = append(items, work{cell: i})
 		case g != nil:
-			items = append(items, work{cell: i, group: g})
+			items = append(items, *g)
 		}
 	}
 	return items
 }
+
+// frontOpts are the options of c's run that decide its cache front.
+func frontOpts(c Cell) exec.Options {
+	return exec.Options{Threads: 1, DisablePrefetch: c.DisablePrefetch}
+}
+
+// extras returns the extras of the group whose cells are members, whose
+// computed members are uncached and whose cache front is front (see
+// plan): c, a member, on every other preset with that front, in the
+// preset table's order.
+func (s *Scheduler) extras(c Cell, keys []cellKey, members, uncached []int, front cache.Front) []extra {
+	if c.Version != kernels.Naive || !suiteBench(c.Bench.Name()) || !onPreset(keys, uncached) {
+		return nil
+	}
+	var out []extra
+	for _, p := range presetMachines() {
+		x := c
+		x.Machine = p.m
+		if hasMachine(keys, members, p.sig) || exec.Front(p.m, frontOpts(x)) != front {
+			continue
+		}
+		if k := x.keyWith(p.sig); !s.memo.cached(k) {
+			out = append(out, extra{cell: x, key: k})
+		}
+	}
+	return out
+}
+
+// suiteBench reports whether name is a built-in suite benchmark's.
+func suiteBench(name string) bool {
+	_, err := kernels.ByName(name)
+	return err == nil
+}
+
+// onPreset reports whether one of the cells at idx runs on an unmodified
+// preset machine.
+func onPreset(keys []cellKey, idx []int) bool {
+	for _, p := range presetMachines() {
+		if hasMachine(keys, idx, p.sig) {
+			return true
+		}
+	}
+	return false
+}
+
+// presetMachine is a preset as extras use it: one unmodified copy per
+// process, which extras share read-only as a figure's cells share
+// theirs, and its memo signature.
+type presetMachine struct {
+	m   *machine.Machine
+	sig string
+}
+
+// presetMachines returns every preset, in the preset table's order.
+var presetMachines = sync.OnceValue(func() []presetMachine {
+	ms := machine.All()
+	out := make([]presetMachine, len(ms))
+	for i, m := range ms {
+		out[i] = presetMachine{m: m, sig: machineSig(m)}
+	}
+	return out
+})
 
 // sameProgram reports whether two serial cells' keys agree on everything
 // but the machine.
@@ -404,7 +507,7 @@ type batch struct {
 // run measures one work item.
 func (b *batch) run(it work) {
 	if it.group != nil {
-		b.runGroup(it.group)
+		b.runGroup(it)
 		return
 	}
 	b.measureOne(it.cell)
@@ -431,6 +534,9 @@ func (b *batch) skip(it work) {
 	for _, i := range it.group {
 		b.errs[i] = context.Cause(b.ctx)
 	}
+	for _, i := range it.repeats {
+		b.errs[i] = context.Cause(b.ctx)
+	}
 }
 
 // settle records cell i's outcome; a failure cancels the rest of the
@@ -448,16 +554,22 @@ func (b *batch) settle(i int, m *Measurement, err error) {
 // each looked up (and on a miss stored, on disk too) exactly as measure
 // would, so memo misses, persisted entries and error texts are those of
 // cells measured alone. The first member the memo has to compute measures
-// it and every later member with one shared run; the later members'
-// lookups take their results from it. If the program cannot be shared,
-// that member is measured alone and so is every later one.
-func (b *batch) runGroup(members []int) {
+// it, every later member and the group's extras with one shared run; the
+// later members' lookups take their results from it. If the program
+// cannot be shared, that member is measured alone and so is every later
+// one, and the extras are dropped. Once every member is settled, the
+// repeats are looked up, and each extra the shared run measured is stored
+// through the memo as if a batch had asked for it, outside any member's
+// computation, so a batch never waits on another's entry while holding
+// one of its own.
+func (b *batch) runGroup(it work) {
 	var (
 		ms     []*Measurement
 		errs   []error
 		from   = -1 // position in members of the first computed member
 		shared bool
 	)
+	members := it.group
 	for j, i := range members {
 		if from >= 0 && !shared {
 			b.measureOne(i)
@@ -470,15 +582,30 @@ func (b *batch) runGroup(members []int) {
 		m, err := b.s.memo.do(b.ctx, b.keys[i], func() (*Measurement, error) {
 			if from < 0 {
 				from = j
-				cells := make([]Cell, 0, len(members)-j)
+				cells := make([]Cell, 0, len(members)-j+len(it.extras))
 				for _, k := range members[j:] {
 					cells = append(cells, b.cells[k])
+				}
+				for _, x := range it.extras {
+					cells = append(cells, x.cell)
 				}
 				ms, errs, shared = b.s.measureGroup(b.ctx, cells)
 			}
 			return ms[j-from], errs[j-from]
 		})
 		b.settle(i, m, err)
+	}
+	for _, i := range it.repeats {
+		b.measureOne(i)
+	}
+	if !shared {
+		return
+	}
+	at := len(members) - from // ms index of the first extra
+	for k, x := range it.extras {
+		if errs[at+k] == nil {
+			b.s.memo.do(b.ctx, x.key, func() (*Measurement, error) { return ms[at+k], nil })
+		}
 	}
 }
 

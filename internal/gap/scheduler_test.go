@@ -83,37 +83,44 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMemoSingleflight checks that N concurrent requests for one cell
-// measure it exactly once.
+// TestMemoSingleflight checks that N requests for one cell in one batch
+// measure it exactly once. The ninja cells are N items racing on one memo
+// entry across the workers. The naive cells form one group whose repeats
+// are looked up after its shared run, which also measures the naive
+// cell's extras on the four other presets, each a memo miss.
 func TestMemoSingleflight(t *testing.T) {
 	base, err := kernels.ByName("blackscholes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBench{Benchmark: base}
 	m := machine.WestmereX980()
 	n := LegalN(base, base.TestN())
-
-	cells := make([]Cell, 16)
-	for i := range cells {
-		cells[i] = Cell{Bench: cb, Version: kernels.Naive, Machine: m, N: n}
-	}
-	memo := NewMemo()
-	ms, err := NewScheduler(8, memo).Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cb.prepares.Load(); got != 1 {
-		t.Errorf("Prepare called %d times for 16 identical cells, want 1", got)
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i] != ms[0] {
-			t.Errorf("cell %d: memo returned distinct measurement", i)
+	for _, tc := range []struct {
+		v      kernels.Version
+		misses int64
+	}{{kernels.Naive, 5}, {kernels.Ninja, 1}} {
+		cb := &countingBench{Benchmark: base}
+		cells := make([]Cell, 16)
+		for i := range cells {
+			cells[i] = Cell{Bench: cb, Version: tc.v, Machine: m, N: n}
 		}
-	}
-	hits, misses := memo.Stats()
-	if misses != 1 || hits != 15 {
-		t.Errorf("memo stats hits=%d misses=%d, want 15/1", hits, misses)
+		memo := NewMemo()
+		ms, err := NewScheduler(8, memo).Run(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cb.prepares.Load(); got != 1 {
+			t.Errorf("%s: Prepare called %d times for 16 identical cells, want 1", tc.v, got)
+		}
+		for i := 1; i < len(ms); i++ {
+			if ms[i] != ms[0] {
+				t.Errorf("%s: cell %d: memo returned distinct measurement", tc.v, i)
+			}
+		}
+		hits, misses := memo.Stats()
+		if misses != tc.misses || hits != 15 {
+			t.Errorf("%s: memo stats hits=%d misses=%d, want 15/%d", tc.v, hits, misses, tc.misses)
+		}
 	}
 }
 

@@ -77,6 +77,26 @@ func TestProcessMemoizesAcrossFormatting(t *testing.T) {
 	}
 }
 
+// TestProcessComputesOnlyRequestedCells checks that a submission naming
+// one machine computes and persists only its own cells. Its naive program
+// could share a run with every other preset, but a submitted kernel is no
+// suite benchmark, so the scheduler adds no other preset's cell to it.
+func TestProcessComputesOnlyRequestedCells(t *testing.T) {
+	resetCaches(t)
+	if err := gap.SetCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewService(Limits{}).Process(context.Background(), testReq(testSrc), gap.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(kernels.SubmitVersions())
+	_, stores, _ := gap.CacheDirStats()
+	if o.Computed != want || gap.MemoLen() != want || stores != int64(want) {
+		t.Errorf("computed %d, cached %d, persisted %d; want %d of each", o.Computed, gap.MemoLen(), stores, want)
+	}
+}
+
 func TestProcessWarmVsColdByteIdentical(t *testing.T) {
 	resetCaches(t)
 	if err := gap.SetCacheDir(t.TempDir()); err != nil {
